@@ -18,6 +18,7 @@ from .channels import (
     basis_state,
     check_choi,
     check_density_matrix,
+    choi_of_schur,
     choi_of_superoperator,
     choi_of_unitary,
     choi_trace_distance,

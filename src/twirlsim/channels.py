@@ -204,6 +204,19 @@ def choi_of_superoperator(s) -> np.ndarray:
     return choi
 
 
+def choi_of_schur(m: SchurMultiplier) -> np.ndarray:
+    """Choi matrix W M W^dag of a multiplier channel, with columns W[:, p] = conj(v_p) (x) v_p.
+
+    Equals choi_of_superoperator(superoperator_of_schur(m)). W is an isometry,
+    so the Choi trace distance between two multipliers in one eigenbasis is
+    the trace norm of their d x d difference.
+    """
+    v = m.eigenbasis
+    d = m.dim
+    w = np.einsum("ip,ap->iap", v.conj(), v).reshape(d * d, d)
+    return w @ m.multiplier @ w.conj().T
+
+
 def choi_of_unitary(u) -> np.ndarray:
     """Choi matrix of conjugation by u, the rank-one form w w^dag with w = vec(u^T)."""
     w = vec(require_square(u).T)

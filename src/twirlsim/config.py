@@ -18,6 +18,7 @@ Every validation failure raises ConfigError with the offending key path.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -32,13 +33,16 @@ from .distributions import (
     Gaussian,
     LevyTriplet,
     TruncatedGaussian,
+    scale_triplet,
 )
 from .errors import ConfigError, DistributionError, ParseError
 from .linalg import HermitianOperator
 from .matio import read_matrix
 from .pauli import parse_pauli_sum
+from .sampling import cutoff
 
 THREADS_ENV_VAR = "TWIRLSIM_THREADS"
+MAX_THREADS = 64
 
 
 def thread_count(environ=None) -> int:
@@ -51,8 +55,8 @@ def thread_count(environ=None) -> int:
         n = int(raw)
     except ValueError:
         raise ConfigError(THREADS_ENV_VAR, f"not an integer: {raw!r}") from None
-    if n < 1:
-        raise ConfigError(THREADS_ENV_VAR, f"must be >= 1, got {n}")
+    if not 1 <= n <= MAX_THREADS:
+        raise ConfigError(THREADS_ENV_VAR, f"must be in [1, {MAX_THREADS}], got {n}")
     return n
 
 
@@ -86,13 +90,23 @@ def _reject_unknown(node: dict, allowed: set[str], location: str) -> None:
 def _number(node, location: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(location, f"expected a number, got {node!r}")
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(location, f"expected a finite number, got {node!r}")
+    return value
 
 
 def _integer(node, location: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         raise ConfigError(location, f"expected an integer, got {node!r}")
     return node
+
+
+def _reject_constant(token: str):
+    raise ConfigError("config", f"{token} is not a finite number")
 
 
 def load_config_file(path: str) -> dict:
@@ -102,7 +116,7 @@ def load_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON at line {exc.lineno}, "
                                     f"column {exc.colno}: {exc.msg}") from None
@@ -161,9 +175,11 @@ def build_distribution(node: dict, t: float, epsilon: float,
             _reject_unknown(node, {"kind", "cutoff"}, location)
             if "cutoff" in node:
                 s_cut = _number(node["cutoff"], f"{location}.cutoff")
+            elif t > 0.0:
+                s_cut = cutoff(t, epsilon)
             else:
-                from .sampling import cutoff as derive_cutoff
-                s_cut = derive_cutoff(t, epsilon)
+                raise ConfigError("evolution.t",
+                                  f"truncated_gaussian without a cutoff needs t > 0, got {t}")
             return TruncatedGaussian(variance=t, cutoff=s_cut)
         if kind == "dirac":
             _reject_unknown(node, {"kind", "location"}, location)
@@ -187,7 +203,6 @@ def build_distribution(node: dict, t: float, epsilon: float,
                 raise ConfigError(f"{location}.compensated", "expected true or false")
             triplet = LevyTriplet(sigma2=sigma2, gamma=gamma, atoms=tuple(atoms),
                                   compensated=compensated)
-            from .distributions import scale_triplet
             return scale_triplet(triplet, t)
     except DistributionError as exc:
         raise ConfigError(location, str(exc)) from None
@@ -332,8 +347,8 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
     for key in ("t", "epsilon", "distribution"):
         if key not in evolution:
             raise ConfigError(f"evolution.{key}", "missing")
-    t = float(overrides.get("t", _number(evolution["t"], "evolution.t")))
-    epsilon = float(overrides.get("epsilon", _number(evolution["epsilon"], "evolution.epsilon")))
+    t = _number(overrides.get("t", evolution["t"]), "evolution.t")
+    epsilon = _number(overrides.get("epsilon", evolution["epsilon"]), "evolution.epsilon")
     if t < 0.0:
         raise ConfigError("evolution.t", f"must be >= 0, got {t}")
     if not 0.0 < epsilon < 1.0:

@@ -71,6 +71,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
             except ValueError:
                 raise ParseError(f"entry {token!r} is not a complex number",
                                  r + 2, c + 1) from None
+            if not np.isfinite(out[r, c]):
+                raise ParseError(f"entry {token!r} is not finite", r + 2, c + 1)
     return out
 
 

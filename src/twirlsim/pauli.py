@@ -12,6 +12,7 @@ Hermitian matrix of the sum.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -35,7 +36,7 @@ def parse_pauli_sum(text) -> HermitianOperator:
     """Parse Pauli-sum text (a string or an iterable of lines).
 
     Raises ParseError with the line (and column, for bad characters) of the
-    first offending token. Coefficients must parse as real numbers.
+    first offending token. Coefficients must parse as finite real numbers.
     """
     if isinstance(text, str):
         lines = text.splitlines()
@@ -57,6 +58,8 @@ def parse_pauli_sum(text) -> HermitianOperator:
         except ValueError:
             raise ParseError(f"coefficient {coeff_text!r} is not a real number",
                              lineno) from None
+        if not math.isfinite(coeff):
+            raise ParseError(f"coefficient {coeff_text!r} is not finite", lineno)
         for offset, ch in enumerate(word):
             if ch not in PAULI_MATRICES:
                 column = raw.index(word) + offset + 1

@@ -6,6 +6,10 @@ S = sqrt(2 t ln(4/eps)) the truncated law is within eps/2 of the full
 Gaussian in total variation, so the sampled channel is within eps of
 exp(tL) in diamond norm while each shot costs at most S of simulated time.
 
+Every sampled channel, Gaussian or compound, is kept as an empirical Schur
+multiplier in the eigenbasis of H: the mean over shots of the rank-one
+multipliers phi phi^dag with phi_j = exp(-i lambda_j s).
+
 Reproducibility: every shot owns a counter-based stream derived from
 (seed, shot_index), shots are reduced in fixed chunks combined in index
 order, and per-shot costs are totaled with exact summation. Results are
@@ -17,13 +21,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .channels import SchurMultiplier, choi_of_schur
 from .distributions import BaseLaw, CompoundPoisson, sample_law
-from .linalg import HermitianOperator, vec
+from .linalg import HermitianOperator
 
 CHUNK_SHOTS = 4096
 TV_EXACT_NODES = 128
@@ -158,16 +164,21 @@ class CostLedger:
 
 @dataclass(frozen=True)
 class EmpiricalChannel:
-    """Mean Choi matrix of the sampled unitary conjugations."""
+    """Mean of the sampled unitary conjugations, held as an empirical Schur multiplier.
+
+    In the eigenbasis of H the multiplier is M_jk = (1/N) sum_n
+    exp(-i (lambda_j - lambda_k) s_n), the empirical characteristic function
+    of the drawn times at the eigenvalue gaps. The d^2 x d^2 Choi matrix is
+    built from it only when asked for.
+    """
 
     dim: int
-    choi: np.ndarray
+    multiplier: SchurMultiplier
     shots: int
 
-
-def _unitary_choi_vector(op: HermitianOperator, s: float) -> np.ndarray:
-    # Choi of conjugation by U_s is w w^dag with w = vec(U_s^T)
-    return vec(op.unitary_at(s).T)
+    @cached_property
+    def choi(self) -> np.ndarray:
+        return choi_of_schur(self.multiplier)
 
 
 def run_shot(h, rho, plan: ShotPlan, shot_index: int,
@@ -185,24 +196,39 @@ def run_shot(h, rho, plan: ShotPlan, shot_index: int,
     return u @ np.asarray(rho, dtype=np.complex128) @ u.conj().T, float(s)
 
 
-def _accumulate_chunks(shots: int, threads: int, chunk_fn: Callable[[int, int], np.ndarray],
-                       d2: int) -> np.ndarray:
-    """Run chunk_fn over fixed [start, stop) chunks and sum results in chunk order.
+def _estimate(op: HermitianOperator, shots: int, threads: int,
+              draw: Callable[[int], tuple[float, float]]) -> tuple[EmpiricalChannel, np.ndarray]:
+    """Empirical channel of shots draws, and the per-shot costs.
 
-    The chunk partition never depends on the worker count, so the reduction is
-    bit-identical whether chunks run serially or on a thread pool.
+    draw(i) returns shot i's time s and its cost. Shots run in fixed chunks
+    of CHUNK_SHOTS; a chunk adds Phi^T conj(Phi), with Phi[n, j] =
+    exp(-i lambda_j s_n), to a d x d partial, and partials are summed in chunk
+    order, so the result is bit-identical whether chunks run serially or on a
+    thread pool.
     """
+    lam = op.eigenvalues
+    times = np.empty(shots, dtype=np.float64)
+    costs = np.empty(shots, dtype=np.float64)
+
+    def chunk(bounds: tuple[int, int]) -> np.ndarray:
+        start, stop = bounds
+        for i in range(start, stop):
+            times[i], costs[i] = draw(i)
+        phi = np.exp(-1j * np.multiply.outer(times[start:stop], lam))
+        return phi.T @ phi.conj()
+
     bounds = [(start, min(start + CHUNK_SHOTS, shots))
               for start in range(0, shots, CHUNK_SHOTS)]
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda b: chunk_fn(*b), bounds))
+            partials = list(pool.map(chunk, bounds))
     else:
-        partials = [chunk_fn(*b) for b in bounds]
-    total = np.zeros((d2, d2), dtype=np.complex128)
+        partials = [chunk(b) for b in bounds]
+    total = np.zeros((op.dim, op.dim), dtype=np.complex128)
     for partial in partials:
         total += partial
-    return total
+    multiplier = SchurMultiplier(op.eigenvectors, total / shots)
+    return EmpiricalChannel(dim=op.dim, multiplier=multiplier, shots=shots), costs
 
 
 def estimate_channel(h, plan: ShotPlan, threads: int = 1,
@@ -210,31 +236,22 @@ def estimate_channel(h, plan: ShotPlan, threads: int = 1,
                      ) -> tuple[EmpiricalChannel, CostLedger]:
     """Estimate the Gaussian twirl channel from plan.shots sampled unitaries.
 
-    Returns the mean Choi matrix (an unbiased estimate of the truncated
-    twirl's Choi matrix) and the cost ledger of |s| per shot. sample_hook, if
-    given, maps shot_index -> s and replaces sampling (test instrumentation).
+    Returns the empirical channel (an unbiased estimate of the truncated
+    twirl) and the cost ledger of |s| per shot. sample_hook, if given, maps
+    shot_index -> s and replaces sampling (test instrumentation).
     """
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
-    d = op.dim
-    times = np.zeros(plan.shots, dtype=np.float64)
+    sample = sample_hook if sample_hook is not None else (
+        lambda i: sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, i)))
 
-    def chunk_fn(start: int, stop: int) -> np.ndarray:
-        partial = np.zeros((d * d, d * d), dtype=np.complex128)
-        for i in range(start, stop):
-            if sample_hook is not None:
-                s = float(sample_hook(i))
-            else:
-                rng = derived_rng(plan.seed, i)
-                s = sample_truncated_normal(plan.t, plan.cutoff, rng)
-            w = _unitary_choi_vector(op, s)
-            partial += np.outer(w, w.conj())
-            times[i] = abs(s)
-        return partial
+    def draw(i: int) -> tuple[float, float]:
+        s = float(sample(i))
+        return s, abs(s)
 
-    total = _accumulate_chunks(plan.shots, threads, chunk_fn, d * d)
-    ledger = CostLedger(per_shot_times=times, total_time=math.fsum(times),
+    channel, costs = _estimate(op, plan.shots, threads, draw)
+    ledger = CostLedger(per_shot_times=costs, total_time=math.fsum(costs),
                         worst_case=plan.cutoff, shots=plan.shots)
-    return EmpiricalChannel(dim=d, choi=total / plan.shots, shots=plan.shots), ledger
+    return channel, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +310,18 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int, seed: int,
         raise ValueError(f"t must be >= 0, got {t}")
     CompoundPoisson(rate=t, base=base)
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
-    d = op.dim
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    times = np.zeros(shots, dtype=np.float64)
 
-    def chunk_fn(start: int, stop: int) -> np.ndarray:
-        partial = np.zeros((d * d, d * d), dtype=np.complex128)
-        for i in range(start, stop):
-            rng = derived_rng(seed, i)
-            kicks = compound_poisson_kicks(t, base, rng)
-            w = _unitary_choi_vector(op, float(kicks.sum()))
-            partial += np.outer(w, w.conj())
-            times[i] = float(np.abs(kicks).sum())
-        return partial
+    def draw(i: int) -> tuple[float, float]:
+        kicks = compound_poisson_kicks(t, base, derived_rng(seed, i))
+        return float(kicks.sum()), float(np.abs(kicks).sum())
 
-    total = _accumulate_chunks(shots, threads, chunk_fn, d * d)
-    worst = float(times.max()) if shots else 0.0
-    ledger = CostLedger(per_shot_times=times, total_time=math.fsum(times),
-                        worst_case=worst, shots=shots)
-    return EmpiricalChannel(dim=d, choi=total / shots, shots=shots), ledger
+    channel, costs = _estimate(op, shots, threads, draw)
+    ledger = CostLedger(per_shot_times=costs, total_time=math.fsum(costs),
+                        worst_case=float(costs.max()), shots=shots)
+    return channel, ledger
 
 
 # ---------------------------------------------------------------------------

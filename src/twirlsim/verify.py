@@ -7,7 +7,6 @@ given seed, so it can be diffed between runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,8 +168,3 @@ def run_verification(dims=(2, 4, 8), trials: int = 20, seed: int = 7,
     ok = all(r.passed for r in results)
     lines.append("all checks passed" if ok else "verification FAILED")
     return "\n".join(lines), ok
-
-
-def mean_abs_reference(t: float) -> float:
-    """E|s| of the untruncated N(0, t) law, for cost sanity reporting."""
-    return math.sqrt(2.0 * t / math.pi)

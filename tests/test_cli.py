@@ -19,7 +19,7 @@ from twirlsim import (
     write_matrix,
 )
 from twirlsim.cli import METRICS_HEADER, main
-from twirlsim.config import THREADS_ENV_VAR
+from twirlsim.config import MAX_THREADS, THREADS_ENV_VAR
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
 from twirlsim.sampling import cutoff
 
@@ -192,6 +192,16 @@ def test_thread_count_env():
         thread_count({THREADS_ENV_VAR: "0"})
 
 
+def test_thread_count_capped_at_parse_time():
+    # the cap is checked on the value alone, so no thread is started here
+    assert thread_count({THREADS_ENV_VAR: str(MAX_THREADS)}) == MAX_THREADS
+    with pytest.raises(ConfigError) as err:
+        thread_count({THREADS_ENV_VAR: str(MAX_THREADS + 1)})
+    assert err.value.location == THREADS_ENV_VAR
+    with pytest.raises(ConfigError):
+        thread_count({THREADS_ENV_VAR: "100000"})
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 # ---------------------------------------------------------------------------
@@ -284,6 +294,57 @@ def test_simulate_compound_poisson(tmp_path):
     assert rows[1][0] == "sampled_compound"
     # every kick is a multiple of pi, so the channel is the identity
     assert np.abs(read_matrix(state_path) - plus_state(1)).max() < 1e-12
+
+
+def test_simulate_six_qubit_sampled_fills_distance(tmp_path):
+    rng = np.random.default_rng(5)
+    terms = [f"{rng.uniform(-1.0, 1.0):.6f} " + "".join(rng.choice(list("IXYZ"), size=6))
+             for _ in range(8)]
+    cfg = base_config(system={"qubits": 6}, hamiltonian={"pauli": terms},
+                      sampler={"shots": 300, "seed": 4})
+    code, state_path, metrics_path = run_simulate(tmp_path, cfg)
+    assert code == 0
+    dist = read_csv(metrics_path)[1][METRICS_HEADER.index("choi_distance_to_exact")]
+    assert dist != "" and math.isfinite(float(dist))
+    assert read_matrix(state_path).shape == (64, 64)
+
+
+def test_simulate_truncated_gaussian_zero_time_names_key(tmp_path, capsys):
+    cfg = base_config()
+    cfg["evolution"]["distribution"] = {"kind": "truncated_gaussian"}
+    code, _, _ = run_simulate(tmp_path, cfg, ["--t", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: evolution.t:")
+
+
+def test_simulate_rejects_non_finite_pauli_coefficient(tmp_path, capsys):
+    code, state_path, _ = run_simulate(tmp_path, base_config(hamiltonian={"pauli": "nan Z"}))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: hamiltonian.pauli:")
+    assert not state_path.exists()
+
+
+def test_simulate_rejects_non_finite_number(tmp_path, capsys):
+    # 1e400 parses as inf; an integer literal that long overflows float()
+    path = tmp_path / "run.json"
+    for literal in ("1e400", "1" + "0" * 400):
+        path.write_text(json.dumps(base_config()).replace('"t": 1.0', f'"t": {literal}'))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: evolution.t:")
+
+
+def test_simulate_rejects_non_finite_matrix_entry(tmp_path, capsys):
+    (tmp_path / "h.txt").write_text("2 2\n1+0j 0+0j\n0+0j inf+0j\n")
+    code, _, _ = run_simulate(tmp_path, base_config(hamiltonian={"matrix_file": "h.txt"}))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: hamiltonian.matrix_file:")
+
+
+def test_simulate_rejects_json_nan_token(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(base_config()).replace('"epsilon": 0.01', '"epsilon": NaN'))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: config: NaN")
 
 
 def test_simulate_dirac_with_shots_is_config_error(tmp_path, capsys):

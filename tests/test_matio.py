@@ -83,3 +83,11 @@ def test_bad_entry_reports_line_and_column():
     assert err.value.line == 3
     assert err.value.column == 2
     assert "'oops'" in str(err.value)
+
+
+def test_non_finite_entry_reports_line_and_column():
+    for token in ("nan+0j", "1+infj", "-inf+0j"):
+        with pytest.raises(ParseError) as err:
+            parse_matrix_text(f"2 2\n1+0j 0+0j\n0+0j {token}\n")
+        assert (err.value.line, err.value.column) == (3, 2)
+        assert "not finite" in str(err.value)

@@ -67,6 +67,14 @@ def test_non_real_coefficient_rejected():
     assert "not a real number" in str(err.value)
 
 
+def test_non_finite_coefficient_rejected():
+    for token in ("nan", "inf", "-inf", "1e999"):
+        with pytest.raises(ParseError) as err:
+            parse_pauli_sum(f"1.0 Z\n{token} X")
+        assert err.value.line == 2
+        assert "not finite" in str(err.value)
+
+
 def test_word_length_mismatch():
     with pytest.raises(ParseError) as err:
         parse_pauli_sum("1.0 ZZ\n1.0 Z")

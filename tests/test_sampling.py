@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twirlsim import (
     CompoundPoisson,
@@ -10,8 +12,11 @@ from twirlsim import (
     Dirac,
     FiniteMixture,
     Gaussian,
+    HermitianOperator,
+    SchurMultiplier,
     ShotPlan,
     TruncatedGaussian,
+    choi_of_schur,
     choi_of_superoperator,
     choi_of_unitary,
     choi_trace_distance,
@@ -21,6 +26,7 @@ from twirlsim import (
     estimate_compound_channel,
     exact_channel,
     poisson_by_inversion,
+    random_hermitian,
     run_shot,
     sample_compound_poisson,
     sample_truncated_normal,
@@ -28,8 +34,9 @@ from twirlsim import (
     superoperator_of_schur,
     tv_bound,
     tv_exact,
+    vec,
 )
-from twirlsim.sampling import mean_sampled_cost
+from twirlsim.sampling import compound_poisson_kicks, mean_sampled_cost
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -229,6 +236,71 @@ def test_estimate_channel_error_decays_as_inverse_sqrt_shots():
     y = np.log10(mean_dist)
     slope = np.polyfit(x, y, 1)[0]
     assert -0.6 < slope < -0.4, (slope, mean_dist)
+
+
+# ---------------------------------------------------------------------------
+# the empirical-multiplier engine against per-shot Choi accumulation
+# ---------------------------------------------------------------------------
+
+def reference_choi(op: HermitianOperator, times) -> np.ndarray:
+    """Mean of w w^dag with w = vec(U_s^T), one rank-one Choi matrix per shot."""
+    d = op.dim
+    acc = np.zeros((d * d, d * d), dtype=np.complex128)
+    for s in times:
+        w = vec(op.unitary_at(s).T)
+        acc += np.outer(w, w.conj())
+    return acc / len(times)
+
+
+# d=2 runs past one chunk, so the chunked reduction is covered too
+ENGINE_CASES = [(2, 4100), (8, 300), (16, 150)]
+
+
+@pytest.mark.parametrize("d,shots", ENGINE_CASES)
+def test_gaussian_engine_matches_per_shot_choi(d, shots):
+    op = HermitianOperator(random_hermitian(d, np.random.default_rng(d)))
+    plan = ShotPlan.with_derived_cutoff(1.3, 0.01, shots, seed=40 + d)
+    emp, ledger = estimate_channel(op, plan)
+    times = [sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, i))
+             for i in range(shots)]
+    assert np.array_equal(ledger.per_shot_times, np.abs(times))
+    assert np.abs(emp.choi - reference_choi(op, times)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d,shots", ENGINE_CASES)
+def test_compound_engine_matches_per_shot_choi(d, shots):
+    op = HermitianOperator(random_hermitian(d, np.random.default_rng(d)))
+    base, t, seed = Gaussian(0.5), 2.0, 60 + d
+    emp, ledger = estimate_compound_channel(op, base, t, shots, seed)
+    kicks = [compound_poisson_kicks(t, base, derived_rng(seed, i)) for i in range(shots)]
+    costs = np.array([float(np.abs(k).sum()) for k in kicks])
+    assert np.array_equal(ledger.per_shot_times, costs)
+    assert ledger.worst_case == costs.max()
+    times = [float(k.sum()) for k in kicks]
+    assert np.abs(emp.choi - reference_choi(op, times)).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
+def test_empirical_multiplier_is_hermitian_psd_unit_diagonal(spectrum, times):
+    op = HermitianOperator(np.diag(spectrum))
+    plan = ShotPlan(t=1.0, epsilon=0.01, cutoff=50.0, shots=len(times), seed=0)
+    emp, _ = estimate_channel(op, plan, sample_hook=lambda i: times[i])
+    m = emp.multiplier.multiplier
+    assert np.abs(m - m.conj().T).max() <= 1e-14
+    assert np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() >= -1e-12
+    assert np.abs(np.diag(m) - 1.0).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_choi_of_schur_matches_superoperator_route(d, seed):
+    rng = np.random.default_rng(seed)
+    op = HermitianOperator(random_hermitian(d, rng))
+    m = SchurMultiplier(op.eigenvectors, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    expected = choi_of_superoperator(superoperator_of_schur(m))
+    assert np.abs(choi_of_schur(m) - expected).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
