@@ -37,7 +37,6 @@ from .config import (
     build_distribution,
     load_config_file,
     parse_config,
-    thread_count,
 )
 from .cvqpe import (
     QpeRun,
@@ -87,11 +86,11 @@ from .sampling import (
     ShotPlan,
     cutoff,
     derived_rng,
+    empirical_channel,
     estimate_channel,
     estimate_compound_channel,
     mean_sampled_cost,
     poisson_by_inversion,
-    run_shot,
     sample_compound_poisson,
     sample_truncated_normal,
     scaling_table,

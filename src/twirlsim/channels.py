@@ -138,7 +138,7 @@ def cptp_check(m, cp_tol: float = CP_EIG_TOL, tp_tol: float = TP_DIAG_TOL) -> CP
                       min_eigenvalue=min_eig, max_diag_deviation=max_diag)
 
 
-def apply_schur(m: SchurMultiplier, rho, validate: bool = True) -> np.ndarray:
+def apply_schur(m: SchurMultiplier, rho) -> np.ndarray:
     """Apply the entrywise multiplier channel: U (M * (U^dag rho U)) U^dag.
 
     A multiplier failing the CPTP check raises a CPTPWarning but the result
@@ -147,12 +147,11 @@ def apply_schur(m: SchurMultiplier, rho, validate: bool = True) -> np.ndarray:
     rho = require_square(rho)
     if rho.shape != m.multiplier.shape:
         raise ShapeError(f"state shape {rho.shape} does not match multiplier {m.multiplier.shape}")
-    if validate:
-        report = cptp_check(m)
-        if not (report.is_cp and report.is_tp):
-            warnings.warn(
-                f"multiplier fails CPTP check (cp={report.is_cp}, tp={report.is_tp}); "
-                "applying anyway", CPTPWarning, stacklevel=2)
+    report = cptp_check(m)
+    if not (report.is_cp and report.is_tp):
+        warnings.warn(
+            f"multiplier fails CPTP check (cp={report.is_cp}, tp={report.is_tp}); "
+            "applying anyway", CPTPWarning, stacklevel=2)
     if np.array_equal(m.multiplier, np.ones_like(m.multiplier)):
         # identity channel: skip the basis rotations so the state is untouched
         return rho.copy()

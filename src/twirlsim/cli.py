@@ -7,9 +7,7 @@ Subcommands:
   qpe       estimate eigenvalues from conjugate-basis readout statistics
 
 Exit codes: 0 success, 1 verification or assertion failure, 2 configuration
-or parse error. The TWIRLSIM_THREADS environment variable sets the worker
-count for sampled runs (absent = single-threaded); results do not depend on
-it.
+or parse error.
 """
 
 from __future__ import annotations
@@ -23,13 +21,7 @@ import time
 import numpy as np
 
 from .channels import apply_schur
-from .config import (
-    RunConfig,
-    build_distribution,
-    load_config_file,
-    parse_config,
-    thread_count,
-)
+from .config import RunConfig, build_distribution, load_config_file, parse_config
 from .cvqpe import resolve_spectrum
 from .distributions import CompoundPoisson, TruncatedGaussian
 from .errors import ConfigError, ParseError
@@ -93,7 +85,6 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(data, base_dir=_config_dir(args.config), overrides=overrides)
     if cfg.state_out is None or cfg.metrics_out is None:
         raise ConfigError("outputs", "simulate needs outputs.state and outputs.metrics")
-    threads = thread_count()
     kind = cfg.distribution_config.get("kind")
     started = time.perf_counter()
 
@@ -110,7 +101,7 @@ def cmd_simulate(args) -> int:
         s_cut = dist.cutoff if isinstance(dist, TruncatedGaussian) else cutoff(cfg.t, cfg.epsilon)
         plan = ShotPlan(t=cfg.t, epsilon=cfg.epsilon, cutoff=s_cut,
                         shots=cfg.shots, seed=cfg.seed)
-        empirical, ledger = estimate_channel(cfg.hamiltonian, plan, threads=threads)
+        empirical, ledger = estimate_channel(cfg.hamiltonian, plan)
         final_state = apply_schur(empirical.multiplier, cfg.initial_state)
         truncated = TruncatedGaussian(variance=cfg.t, cutoff=s_cut)
         distance = _choi_distance_to_exact(empirical, cfg, truncated)
@@ -121,7 +112,7 @@ def cmd_simulate(args) -> int:
         dist = build_distribution(cfg.distribution_config, cfg.t, cfg.epsilon)
         assert isinstance(dist, CompoundPoisson)
         empirical, ledger = estimate_compound_channel(
-            cfg.hamiltonian, dist.base, cfg.t, cfg.shots, cfg.seed, threads=threads)
+            cfg.hamiltonian, dist.base, cfg.t, cfg.shots, cfg.seed)
         distance = _choi_distance_to_exact(empirical, cfg, dist)
         final_state = apply_schur(empirical.multiplier, cfg.initial_state)
         row = ["sampled_compound", cfg.t, cfg.epsilon, None, cfg.shots,

@@ -41,24 +41,6 @@ from .matio import read_matrix
 from .pauli import parse_pauli_sum
 from .sampling import cutoff
 
-THREADS_ENV_VAR = "TWIRLSIM_THREADS"
-MAX_THREADS = 64
-
-
-def thread_count(environ=None) -> int:
-    """Worker count from the environment; absence means single-threaded."""
-    env = os.environ if environ is None else environ
-    raw = env.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(THREADS_ENV_VAR, f"not an integer: {raw!r}") from None
-    if not 1 <= n <= MAX_THREADS:
-        raise ConfigError(THREADS_ENV_VAR, f"must be in [1, {MAX_THREADS}], got {n}")
-    return n
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -136,7 +118,7 @@ def _atom_pairs(node, location: str) -> list[tuple[float, float]]:
 
 
 def _build_base_law(node, location: str):
-    """Per-jump base law of a compound Poisson twirl (not time-scaled)."""
+    """A law that is not time-scaled: a compound Poisson base, or a dirac or mixture twirl."""
     node = _expect_mapping(node, location)
     kind = node.get("kind")
     if kind == "dirac":
@@ -181,14 +163,8 @@ def build_distribution(node: dict, t: float, epsilon: float,
                 raise ConfigError("evolution.t",
                                   f"truncated_gaussian without a cutoff needs t > 0, got {t}")
             return TruncatedGaussian(variance=t, cutoff=s_cut)
-        if kind == "dirac":
-            _reject_unknown(node, {"kind", "location"}, location)
-            if "location" not in node:
-                raise ConfigError(f"{location}.location", "missing")
-            return Dirac(location=_number(node["location"], f"{location}.location"))
-        if kind == "mixture":
-            _reject_unknown(node, {"kind", "atoms"}, location)
-            return FiniteMixture(atoms=_atom_pairs(node.get("atoms"), f"{location}.atoms"))
+        if kind in ("dirac", "mixture"):
+            return _build_base_law(node, location)
         if kind == "compound_poisson":
             _reject_unknown(node, {"kind", "base"}, location)
             base = _build_base_law(node.get("base"), f"{location}.base")

@@ -21,6 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DistributionError
 
 TRUNCATED_CHAR_NODES = 64
+TRUNCATED_CHAR_SIGMAS = 8.0  # the N(0, v) mass beyond 8 sigma is about 1e-15
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -166,11 +167,15 @@ def levy_psi(triplet: LevyTriplet, omega):
 
 
 def scale_triplet(triplet: LevyTriplet, t: float) -> LevyTriplet:
-    """Triplet of the time-t law: every component scales linearly."""
+    """Triplet of the time-t law: every component scales linearly.
+
+    Jumps whose scaled weight is zero (all of them at t = 0) carry no mass
+    and are dropped, so the time-zero law is the point mass at zero.
+    """
     return LevyTriplet(
         sigma2=triplet.sigma2 * t,
         gamma=triplet.gamma * t,
-        atoms=tuple((s, w * t) for s, w in triplet.atoms),
+        atoms=tuple((s, w * t) for s, w in triplet.atoms if w * t != 0.0),
         compensated=triplet.compensated,
     )
 
@@ -216,13 +221,15 @@ def _(dist: CompoundPoisson, omega):
 
 @char_minus.register
 def _(dist: TruncatedGaussian, omega):
-    # Gauss-Legendre on [-cutoff, cutoff]; the normalization uses the same
-    # nodes, so char(0) = 1 holds exactly.
+    # Gauss-Legendre on [-W, W] with W = min(cutoff, 8 sigma): a wider window
+    # adds mass below the rule's accuracy but spreads the nodes past the
+    # density, which then underflows. The normalization uses the same nodes,
+    # so char(0) = 1 holds exactly.
     if dist.variance == 0.0:
         w = np.asarray(omega, dtype=np.float64)
         return _shaped(np.ones(w.shape, dtype=np.complex128), omega)
     nodes, weights = _gl_nodes(TRUNCATED_CHAR_NODES)
-    s = nodes * dist.cutoff
+    s = nodes * min(dist.cutoff, TRUNCATED_CHAR_SIGMAS * math.sqrt(dist.variance))
     density_weights = weights * np.exp(-0.5 * s ** 2 / dist.variance)
     w = np.asarray(omega, dtype=np.float64)
     phases = np.exp(-1j * np.multiply.outer(w, s))

@@ -13,16 +13,14 @@ multipliers phi phi^dag with phi_j = exp(-i lambda_j s).
 Reproducibility: every shot owns a counter-based stream derived from
 (seed, shot_index), shots are reduced in fixed chunks combined in index
 order, and per-shot costs are totaled with exact summation. Results are
-therefore bit-identical across repeated runs and across worker counts.
+therefore bit-identical across repeated runs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,6 +30,8 @@ from .distributions import BaseLaw, CompoundPoisson, sample_law
 from .linalg import HermitianOperator
 
 CHUNK_SHOTS = 4096
+INVERSION_MAX_RATE = 700.0  # exp(-rate) stays a normal double below about 708
+MAX_SAMPLED_RATE = 1e6  # a sampled compound shot costs O(rate) Python steps
 TV_EXACT_NODES = 128
 _MAX_EPSILON = 4.0  # cutoff is real and positive only for epsilon below 4
 
@@ -98,25 +98,35 @@ def sample_truncated_normal(t: float, s_cut: float, rng: np.random.Generator,
                             size: int | None = None):
     """Rejection sampling of N(0, t) conditioned on [-S, S].
 
-    The proposal is the untruncated normal, so the expected acceptance rate is
-    the window mass Z (at the derived cutoff, at least 1 - eps/2). Every
-    returned value satisfies |s| <= S.
+    For S > sqrt(t) the proposal is the untruncated normal, accepted inside
+    the window, so the acceptance rate is the window mass, above 0.68 (at the
+    derived cutoff, at least 1 - eps/2). For S <= sqrt(t)
+    the proposal is uniform on [-S, S], accepted with probability
+    exp(-s^2 / 2t) >= exp(-1/2), so a narrow window cannot stall the loop.
+    Every returned value satisfies |s| <= S.
     """
     t = float(t)
     s_cut = float(s_cut)
     if not (t > 0.0 and s_cut > 0.0):
         raise ValueError(f"need t > 0 and S > 0, got t={t}, S={s_cut}")
     sigma = math.sqrt(t)
+    if s_cut > sigma:
+        def propose(n):
+            s = rng.normal(0.0, sigma, size=n)
+            return s, abs(s) <= s_cut
+    else:
+        def propose(n):
+            s = rng.uniform(-s_cut, s_cut, size=n)
+            return s, rng.random(size=n) <= np.exp(-0.5 * s * s / t)
     if size is None:
         while True:
-            s = rng.normal(0.0, sigma)
-            if abs(s) <= s_cut:
+            s, accepted = propose(None)
+            if accepted:
                 return float(s)
-    out = rng.normal(0.0, sigma, size=size)
-    bad = np.abs(out) > s_cut
-    while bad.any():
-        out[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-        bad = np.abs(out) > s_cut
+    out, accepted = propose(size)
+    while not accepted.all():
+        rejected = ~accepted
+        out[rejected], accepted[rejected] = propose(int(rejected.sum()))
     return out
 
 
@@ -150,10 +160,9 @@ class ShotPlan:
 class CostLedger:
     """Per-shot simulated-time costs and their exact total.
 
-    total_time is the exactly rounded sum (math.fsum) of per_shot_times, so it
-    does not depend on how shots were partitioned across workers. worst_case
-    is the a-priori per-shot bound when one exists (the truncation window),
-    otherwise the realized maximum.
+    total_time is the exactly rounded sum (math.fsum) of per_shot_times.
+    worst_case is the a-priori per-shot bound when one exists (the truncation
+    window), otherwise the realized maximum.
     """
 
     per_shot_times: np.ndarray
@@ -181,77 +190,37 @@ class EmpiricalChannel:
         return choi_of_schur(self.multiplier)
 
 
-def run_shot(h, rho, plan: ShotPlan, shot_index: int,
-             s: float | None = None) -> tuple[np.ndarray, float]:
-    """One shot: draw s from the plan's stream, return (U_s rho U_s^dag, s).
+def empirical_channel(h, times) -> EmpiricalChannel:
+    """Empirical channel of the unitaries exp(-iHs) at the given times.
 
-    Passing s explicitly skips sampling (test instrumentation; s=0 must give
-    back the input state).
+    The times are reduced in fixed chunks of CHUNK_SHOTS: a chunk adds
+    Phi^T conj(Phi), with Phi[n, j] = exp(-i lambda_j s_n), to a d x d total,
+    in chunk order. The chunks only bound the size of the phase matrix Phi.
     """
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
-    if s is None:
-        rng = derived_rng(plan.seed, shot_index)
-        s = sample_truncated_normal(plan.t, plan.cutoff, rng)
-    u = op.unitary_at(s)
-    return u @ np.asarray(rho, dtype=np.complex128) @ u.conj().T, float(s)
-
-
-def _estimate(op: HermitianOperator, shots: int, threads: int,
-              draw: Callable[[int], tuple[float, float]]) -> tuple[EmpiricalChannel, np.ndarray]:
-    """Empirical channel of shots draws, and the per-shot costs.
-
-    draw(i) returns shot i's time s and its cost. Shots run in fixed chunks
-    of CHUNK_SHOTS; a chunk adds Phi^T conj(Phi), with Phi[n, j] =
-    exp(-i lambda_j s_n), to a d x d partial, and partials are summed in chunk
-    order, so the result is bit-identical whether chunks run serially or on a
-    thread pool.
-    """
-    lam = op.eigenvalues
-    times = np.empty(shots, dtype=np.float64)
-    costs = np.empty(shots, dtype=np.float64)
-
-    def chunk(bounds: tuple[int, int]) -> np.ndarray:
-        start, stop = bounds
-        for i in range(start, stop):
-            times[i], costs[i] = draw(i)
-        phi = np.exp(-1j * np.multiply.outer(times[start:stop], lam))
-        return phi.T @ phi.conj()
-
-    bounds = [(start, min(start + CHUNK_SHOTS, shots))
-              for start in range(0, shots, CHUNK_SHOTS)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(chunk, bounds))
-    else:
-        partials = [chunk(b) for b in bounds]
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"need a non-empty 1-d array of times, got shape {times.shape}")
     total = np.zeros((op.dim, op.dim), dtype=np.complex128)
-    for partial in partials:
-        total += partial
-    multiplier = SchurMultiplier(op.eigenvectors, total / shots)
-    return EmpiricalChannel(dim=op.dim, multiplier=multiplier, shots=shots), costs
+    for start in range(0, times.size, CHUNK_SHOTS):
+        phi = np.exp(-1j * np.multiply.outer(times[start:start + CHUNK_SHOTS], op.eigenvalues))
+        total += phi.T @ phi.conj()
+    multiplier = SchurMultiplier(op.eigenvectors, total / times.size)
+    return EmpiricalChannel(dim=op.dim, multiplier=multiplier, shots=times.size)
 
 
-def estimate_channel(h, plan: ShotPlan, threads: int = 1,
-                     sample_hook: Callable[[int], float] | None = None,
-                     ) -> tuple[EmpiricalChannel, CostLedger]:
+def estimate_channel(h, plan: ShotPlan) -> tuple[EmpiricalChannel, CostLedger]:
     """Estimate the Gaussian twirl channel from plan.shots sampled unitaries.
 
     Returns the empirical channel (an unbiased estimate of the truncated
-    twirl) and the cost ledger of |s| per shot. sample_hook, if given, maps
-    shot_index -> s and replaces sampling (test instrumentation).
+    twirl) and the cost ledger of |s| per shot.
     """
-    op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
-    sample = sample_hook if sample_hook is not None else (
-        lambda i: sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, i)))
-
-    def draw(i: int) -> tuple[float, float]:
-        s = float(sample(i))
-        return s, abs(s)
-
-    channel, costs = _estimate(op, plan.shots, threads, draw)
+    times = np.array([sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, i))
+                      for i in range(plan.shots)])
+    costs = np.abs(times)
     ledger = CostLedger(per_shot_times=costs, total_time=math.fsum(costs),
                         worst_case=plan.cutoff, shots=plan.shots)
-    return channel, ledger
+    return empirical_channel(h, times), ledger
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +236,7 @@ def poisson_by_inversion(rate: float, rng: np.random.Generator) -> int:
     rate = float(rate)
     if not rate >= 0.0:
         raise ValueError(f"rate must be >= 0, got {rate}")
-    if rate > 700.0:
+    if rate > INVERSION_MAX_RATE:
         raise ValueError(f"rate {rate} too large for inversion sampling")
     u = rng.random()
     k = 0
@@ -282,9 +251,17 @@ def poisson_by_inversion(rate: float, rng: np.random.Generator) -> int:
 
 def compound_poisson_kicks(rate_time: float, base: BaseLaw,
                            rng: np.random.Generator) -> np.ndarray:
-    """The individual jumps of one compound Poisson draw."""
-    CompoundPoisson(rate=rate_time, base=base)  # validates rate and base
-    n = poisson_by_inversion(rate_time, rng)
+    """The individual jumps of one compound Poisson draw; the caller validates the law.
+
+    The jump count sums Poisson draws over ceil(rate / INVERSION_MAX_RATE)
+    equal pieces of the rate, which is exact by Poisson additivity and keeps
+    each piece in the inversion sampler's range. A rate of at most
+    INVERSION_MAX_RATE is one piece, drawn at the rate itself.
+    """
+    if rate_time > MAX_SAMPLED_RATE:
+        raise ValueError(f"rate {rate_time} too large to sample (at most {MAX_SAMPLED_RATE:g})")
+    pieces = max(1, math.ceil(rate_time / INVERSION_MAX_RATE))
+    n = sum(poisson_by_inversion(rate_time / pieces, rng) for _ in range(pieces))
     if n == 0:
         return np.zeros(0, dtype=np.float64)
     return np.asarray(sample_law(base, rng, size=n), dtype=np.float64)
@@ -293,11 +270,12 @@ def compound_poisson_kicks(rate_time: float, base: BaseLaw,
 def sample_compound_poisson(rate_time: float, base: BaseLaw,
                             rng: np.random.Generator) -> float:
     """Total time s = sum of Poisson(rate_time)-many draws from the base law."""
+    CompoundPoisson(rate=rate_time, base=base)  # validates rate and base
     return float(compound_poisson_kicks(rate_time, base, rng).sum())
 
 
-def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int, seed: int,
-                              threads: int = 1) -> tuple[EmpiricalChannel, CostLedger]:
+def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
+                              seed: int) -> tuple[EmpiricalChannel, CostLedger]:
     """Estimate the compound Poisson twirl at time t from sampled total kicks.
 
     Each shot applies exp(-iHs) with s the summed jumps of one compound
@@ -309,19 +287,17 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int, seed: int,
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     CompoundPoisson(rate=t, base=base)
-    op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-
-    def draw(i: int) -> tuple[float, float]:
+    times = np.empty(shots, dtype=np.float64)
+    costs = np.empty(shots, dtype=np.float64)
+    for i in range(shots):
         kicks = compound_poisson_kicks(t, base, derived_rng(seed, i))
-        return float(kicks.sum()), float(np.abs(kicks).sum())
-
-    channel, costs = _estimate(op, shots, threads, draw)
+        times[i], costs[i] = kicks.sum(), np.abs(kicks).sum()
     ledger = CostLedger(per_shot_times=costs, total_time=math.fsum(costs),
                         worst_case=float(costs.max()), shots=shots)
-    return channel, ledger
+    return empirical_channel(h, times), ledger
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,8 @@ class TwirlChannel:
     def dim(self) -> int:
         return self.hamiltonian.dim
 
-    def apply(self, rho, validate: bool = True) -> np.ndarray:
-        return apply_schur(self.multiplier, rho, validate=validate)
+    def apply(self, rho) -> np.ndarray:
+        return apply_schur(self.multiplier, rho)
 
 
 def exact_channel(h, dist: DistributionSpec) -> TwirlChannel:

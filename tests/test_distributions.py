@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twirlsim import (
     CompoundPoisson,
@@ -62,6 +64,17 @@ def test_truncated_gaussian_char_against_quadrature_oracle():
         assert abs(char_minus(dist, w) - oracle) < 1e-12
     # char(0) is exactly 1 because numerator and denominator share nodes
     assert char_minus(dist, 0.0) == 1.0
+
+
+def test_truncated_gaussian_char_wide_window():
+    # at S = 20 sigma, nodes spread over the whole window miss the density;
+    # at variance 1e-190 the density underflows at every node
+    t, s_cut = 1.0, 20.0
+    dist = TruncatedGaussian(variance=t, cutoff=s_cut)
+    for w in (0.5, 2.0, 3.0):
+        oracle = quad_char(lambda s: mp.e ** (-s ** 2 / (2 * t)), -s_cut, s_cut, w)
+        assert abs(char_minus(dist, w) - oracle) < 1e-12
+    assert abs(char_minus(TruncatedGaussian(variance=1e-190, cutoff=1.0), 3.0) - 1.0) < 1e-15
 
 
 def test_char_minus_vectorized_and_conjugate_symmetric():
@@ -128,6 +141,15 @@ def test_scale_triplet_scales_exponent_linearly():
     assert np.abs(direct - scaled).max() < 1e-14
 
 
+def test_scale_triplet_at_time_zero_is_point_mass():
+    trip = LevyTriplet(sigma2=0.4, gamma=-0.3, atoms=((1.2, 0.5),), compensated=True)
+    zero = scale_triplet(trip, 0.0)
+    assert zero.atoms == ()
+    assert np.array_equal(char_minus(zero, np.linspace(-3, 3, 11)), np.ones(11))
+    with pytest.raises(DistributionError):
+        scale_triplet(trip, -1.0)
+
+
 def test_validation_errors():
     with pytest.raises(DistributionError):
         Gaussian(variance=-0.1)
@@ -169,3 +191,62 @@ def test_mean_abs():
     assert abs(mean_abs(Gaussian(variance=1.0)) - math.sqrt(2.0 / math.pi)) < 1e-15
     assert mean_abs(Dirac(-2.5)) == 2.5
     assert abs(mean_abs(FiniteMixture(atoms=((2.0, 0.25), (-1.0, 0.75)))) - 1.25) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# properties of char_minus over random laws
+# ---------------------------------------------------------------------------
+
+nonzero = st.floats(-8.0, 8.0).filter(lambda x: abs(x) > 1e-3)
+positive = st.floats(1e-3, 3.0)
+
+
+@st.composite
+def mixtures(draw, locations=st.floats(-8.0, 8.0)):
+    atoms = draw(st.lists(st.tuples(locations, positive), min_size=1, max_size=5))
+    total = math.fsum(w for _, w in atoms)
+    return FiniteMixture(atoms=tuple((s, w / total) for s, w in atoms))
+
+
+# jump laws with no atom at zero, as a compound Poisson base requires
+base_laws = st.one_of(st.builds(Dirac, nonzero), mixtures(nonzero),
+                      st.builds(Gaussian, positive))
+triplets = st.builds(LevyTriplet, st.floats(0.0, 3.0), st.floats(-3.0, 3.0),
+                     st.lists(st.tuples(nonzero, positive), max_size=4).map(tuple),
+                     st.booleans())
+all_laws = st.one_of(
+    st.builds(Gaussian, st.floats(0.0, 20.0)),
+    st.builds(TruncatedGaussian, st.floats(0.0, 20.0), st.floats(0.01, 20.0)),
+    st.builds(Dirac, st.floats(-20.0, 20.0)),
+    mixtures(),
+    st.builds(CompoundPoisson, st.floats(0.0, 20.0), base_laws),
+    triplets,
+)
+omegas = st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8).map(np.array)
+times = st.floats(0.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(all_laws, omegas)
+def test_char_minus_is_one_at_zero_and_bounded(dist, omega):
+    assert abs(char_minus(dist, 0.0) - 1.0) <= 1e-12
+    assert np.abs(char_minus(dist, omega)).max() <= 1.0 + 1e-12
+
+
+def gaussian_at(_, t):
+    return Gaussian(variance=t)
+
+
+def compound_at(base, t):
+    return CompoundPoisson(rate=t, base=base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.tuples(st.just(gaussian_at), st.none()),
+                 st.tuples(st.just(compound_at), base_laws),
+                 st.tuples(st.just(scale_triplet), triplets)),
+       times, times, omegas)
+def test_char_minus_semigroup_for_time_scalable_laws(family, t1, t2, omega):
+    at_time, law = family
+    product = char_minus(at_time(law, t1), omega) * char_minus(at_time(law, t2), omega)
+    assert np.abs(product - char_minus(at_time(law, t1 + t2), omega)).max() <= 1e-12

@@ -22,13 +22,14 @@ from twirlsim import (
     choi_trace_distance,
     cutoff,
     derived_rng,
+    empirical_channel,
     estimate_channel,
     estimate_compound_channel,
     exact_channel,
     poisson_by_inversion,
     random_hermitian,
-    run_shot,
     sample_compound_poisson,
+    sample_law,
     sample_truncated_normal,
     scaling_table,
     superoperator_of_schur,
@@ -36,7 +37,7 @@ from twirlsim import (
     tv_exact,
     vec,
 )
-from twirlsim.sampling import compound_poisson_kicks, mean_sampled_cost
+from twirlsim.sampling import MAX_SAMPLED_RATE, compound_poisson_kicks, mean_sampled_cost
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -129,17 +130,57 @@ def test_sample_truncated_normal_respects_window():
     assert max(abs(s) for s in singles) <= s_cut
 
 
-def test_sample_truncated_normal_ks_statistic():
-    t, s_cut, n = 1.0, cutoff(1.0, 0.05), 1_000_000
-    rng = derived_rng(7, 0)
-    draws = np.sort(sample_truncated_normal(t, s_cut, rng, size=n))
+def truncated_normal_ks(draws, t: float, s_cut: float) -> float:
+    """Kolmogorov-Smirnov statistic of draws against N(0, t) conditioned on [-S, S]."""
+    n = len(draws)
     alpha = s_cut / math.sqrt(t)
     mass = 2.0 * normal_cdf(alpha) - 1.0
     cdf = np.array([(normal_cdf(x / math.sqrt(t)) - normal_cdf(-alpha)) / mass
-                    for x in draws])
+                    for x in np.sort(draws)])
     grid = np.arange(1, n + 1) / n
-    ks = max(np.abs(grid - cdf).max(), np.abs(cdf - (grid - 1.0 / n)).max())
-    assert ks <= 2.0 / math.sqrt(n)
+    return max(np.abs(grid - cdf).max(), np.abs(cdf - (grid - 1.0 / n)).max())
+
+
+# sqrt(n) KS > 2 has probability about 2 exp(-8) = 7e-4 under the null
+def test_sample_truncated_normal_ks_statistic():
+    t, s_cut, n = 1.0, cutoff(1.0, 0.05), 1_000_000
+    draws = sample_truncated_normal(t, s_cut, derived_rng(7, 0), size=n)
+    assert truncated_normal_ks(draws, t, s_cut) <= 2.0 / math.sqrt(n)
+
+
+def test_sample_truncated_normal_narrow_window_ks_statistic():
+    # S <= sqrt(t) takes the uniform proposal
+    t, n = 4.0, 200_000
+    s_cut = 0.5 * math.sqrt(t)
+    draws = sample_truncated_normal(t, s_cut, derived_rng(8, 0), size=n)
+    assert truncated_normal_ks(draws, t, s_cut) <= 2.0 / math.sqrt(n)
+
+
+class CountingRng:
+    """Forwards to a generator and raises after `limit` calls instead of spinning."""
+
+    def __init__(self, rng, limit=10_000):
+        self._rng, self._limit, self.calls = rng, limit, 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            if self.calls > self._limit:
+                raise RuntimeError(f"more than {self._limit} generator calls")
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("size", [None, 1000])
+def test_sample_truncated_normal_narrow_window_terminates(size):
+    # the window holds 8e-9 of the N(0, 100) mass, so a normal proposal would
+    # need about 1e8 tries per draw
+    t, s_cut = 100.0, 1e-7
+    draws = np.atleast_1d(sample_truncated_normal(t, s_cut, CountingRng(derived_rng(9, 0)), size))
+    assert draws.shape == (1 if size is None else size,)
+    assert np.abs(draws).max() <= s_cut
 
 
 def test_sample_truncated_normal_variance_against_quadrature():
@@ -175,24 +216,16 @@ def test_shot_plan_derives_cutoff():
                                          kwargs["shots"], kwargs["seed"])
 
 
-def test_run_shot_zero_hook_and_determinism():
-    plan = ShotPlan.with_derived_cutoff(1.0, 0.01, 10, seed=3)
-    rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-    out, s = run_shot(Z, rho, plan, 0, s=0.0)
-    assert s == 0.0
-    assert np.abs(out - rho).max() < 1e-15
-    out1, s1 = run_shot(Z, rho, plan, 4)
-    out2, s2 = run_shot(Z, rho, plan, 4)
-    assert s1 == s2
-    assert np.array_equal(out1, out2)
-    assert abs(s1) <= plan.cutoff
-
-
 def test_estimate_channel_single_zero_shot_is_identity_choi():
-    plan = ShotPlan.with_derived_cutoff(1.0, 0.01, 1, seed=3)
-    emp, ledger = estimate_channel(Z, plan, sample_hook=lambda i: 0.0)
+    emp = empirical_channel(Z, [0.0])
+    assert emp.shots == 1
     assert np.abs(emp.choi - choi_of_unitary(np.eye(2))).max() < 1e-15
-    assert ledger.total_time == 0.0
+
+
+def test_empirical_channel_rejects_empty_or_nested_times():
+    for bad in ([], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            empirical_channel(Z, bad)
 
 
 def test_estimate_channel_ledger_and_trace():
@@ -208,13 +241,11 @@ def test_estimate_channel_ledger_and_trace():
 
 def test_estimate_channel_reproducible_and_thread_invariant():
     plan = ShotPlan.with_derived_cutoff(1.0, 0.01, 9000, seed=77)
-    emp1, led1 = estimate_channel(Z, plan, threads=1)
-    emp2, led2 = estimate_channel(Z, plan, threads=4)
-    emp3, led3 = estimate_channel(Z, plan, threads=1)
+    emp1, led1 = estimate_channel(Z, plan)
+    emp2, led2 = estimate_channel(Z, plan)
     assert np.array_equal(emp1.choi, emp2.choi)
-    assert np.array_equal(emp1.choi, emp3.choi)
     assert np.array_equal(led1.per_shot_times, led2.per_shot_times)
-    assert led1.total_time == led2.total_time == led3.total_time
+    assert led1.total_time == led2.total_time
 
 
 def test_estimate_channel_error_decays_as_inverse_sqrt_shots():
@@ -284,10 +315,7 @@ def test_compound_engine_matches_per_shot_choi(d, shots):
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
 def test_empirical_multiplier_is_hermitian_psd_unit_diagonal(spectrum, times):
-    op = HermitianOperator(np.diag(spectrum))
-    plan = ShotPlan(t=1.0, epsilon=0.01, cutoff=50.0, shots=len(times), seed=0)
-    emp, _ = estimate_channel(op, plan, sample_hook=lambda i: times[i])
-    m = emp.multiplier.multiplier
+    m = empirical_channel(np.diag(spectrum), times).multiplier.multiplier
     assert np.abs(m - m.conj().T).max() <= 1e-14
     assert np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() >= -1e-12
     assert np.abs(np.diag(m) - 1.0).max() <= 1e-14
@@ -356,6 +384,33 @@ def test_estimate_compound_channel_mixture_cost():
     assert abs(mean_cost - expected) <= 3.0 * stderr
     exact = choi_of(Z, CompoundPoisson(rate=t, base=base))
     assert choi_trace_distance(emp.choi, exact) <= 0.05
+
+
+def test_compound_kicks_one_piece_up_to_inversion_cap():
+    # a rate the inversion sampler accepts keeps its single-draw stream
+    for rate in (2.0, 700.0):
+        rng, replay = derived_rng(3, 1), derived_rng(3, 1)
+        kicks = compound_poisson_kicks(rate, Gaussian(1.0), rng)
+        count = poisson_by_inversion(rate, replay)
+        assert np.array_equal(kicks, sample_law(Gaussian(1.0), replay, size=count))
+
+
+def test_compound_kicks_split_rate_above_inversion_cap():
+    rng, replay = derived_rng(3, 2), derived_rng(3, 2)
+    kicks = compound_poisson_kicks(1000.0, Dirac(1.0), rng)
+    assert kicks.size == poisson_by_inversion(500.0, replay) + poisson_by_inversion(500.0, replay)
+    with pytest.raises(ValueError):
+        compound_poisson_kicks(2.0 * MAX_SAMPLED_RATE, Dirac(1.0), rng)
+
+
+def test_estimate_compound_channel_above_inversion_cap():
+    t, shots = 1000.0, 200
+    emp, ledger = estimate_compound_channel(Z, Dirac(math.pi), t, shots, seed=8)
+    assert np.abs(emp.multiplier.multiplier - 1.0).max() <= 1e-9
+    # the kick count is Poisson(t): its shot mean has standard error
+    # sqrt(t / shots), and a 6-sigma miss has probability below 2e-9
+    mean_kicks = ledger.total_time / shots / math.pi
+    assert abs(mean_kicks - t) <= 6.0 * math.sqrt(t / shots)
 
 
 def test_estimate_compound_channel_zero_time():
