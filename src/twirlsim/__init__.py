@@ -26,7 +26,6 @@ from .channels import (
     maximally_mixed,
     partial_trace_output,
     plus_state,
-    pure_state_density,
     random_density_matrix,
     state_trace_distance,
     superoperator_of_schur,
@@ -82,7 +81,6 @@ from .matio import read_matrix, write_matrix
 from .pauli import parse_pauli_sum
 from .sampling import (
     CostLedger,
-    EmpiricalChannel,
     ShotPlan,
     cutoff,
     derived_rng,
@@ -98,7 +96,6 @@ from .sampling import (
     tv_exact,
 )
 from .twirling import (
-    TwirlChannel,
     commuting_generator_oracle,
     compound_poisson_evolution,
     dissipator_matrix,

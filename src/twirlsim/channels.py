@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,15 +50,6 @@ def check_density_matrix(rho, atol: float = DENSITY_ATOL) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
 
 
-def pure_state_density(psi) -> np.ndarray:
-    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    v = v / nrm
-    return np.outer(v, v.conj())
-
-
 def basis_state(dim: int, index: int) -> np.ndarray:
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
@@ -88,10 +80,12 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchurMultiplier:
-    """Entrywise multiplier in a fixed eigenbasis.
+    """Entrywise multiplier in a fixed eigenbasis: the one channel type.
 
     eigenbasis holds the eigenvector columns; multiplier holds the d x d
     coefficient matrix applied entrywise to states rotated into that basis.
+    Exact twirls hold the law's characteristic function at the eigenvalue
+    gaps, sampled channels the empirical one.
     """
 
     eigenbasis: np.ndarray
@@ -106,6 +100,15 @@ class SchurMultiplier:
     @property
     def dim(self) -> int:
         return self.multiplier.shape[0]
+
+    def apply(self, rho) -> np.ndarray:
+        """The channel's output on rho; see apply_schur."""
+        return apply_schur(self, rho)
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        """The d^2 x d^2 Choi matrix, built on first access."""
+        return choi_of_schur(self)
 
 
 @dataclass(frozen=True)

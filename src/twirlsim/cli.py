@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from .channels import apply_schur
-from .config import RunConfig, build_distribution, load_config_file, parse_config
+from .config import RunConfig, load_config_file, parse_config
 from .cvqpe import resolve_spectrum
-from .distributions import CompoundPoisson, TruncatedGaussian
+from .distributions import CompoundPoisson, Gaussian, TruncatedGaussian
 from .errors import ConfigError, ParseError
 from .linalg import trace_norm
 from .matio import format_float, write_matrix
@@ -43,6 +43,8 @@ METRICS_HEADER = ["mode", "t", "epsilon", "S", "shots", "total_sim_time",
                   "choi_distance_to_exact", "tv_bound", "wall_seconds"]
 BENCH_HEADER = ["t", "epsilon", "S", "S_over_sqrt_t", "mean_abs_s"]
 QPE_HEADER = ["index", "estimate", "stderr", "raw_mean", "ci5_low", "ci5_high"]
+MAX_BENCH_DRAWS = 10 ** 7  # bench holds a few float64 arrays of --draws entries
+MAX_VERIFY_DIM = 32  # verify eigendecomposes a d^2 x d^2 matrix at each --dims entry
 
 
 def _fmt(value) -> str:
@@ -63,63 +65,49 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _choi_distance_to_exact(empirical, cfg: RunConfig, dist) -> float:
-    # both multipliers live in the eigenbasis of cfg.hamiltonian, and the map
-    # from a multiplier to its Choi matrix is an isometry, so the d x d trace
-    # norm equals the Choi trace distance
-    exact = exact_channel(cfg.hamiltonian, dist).multiplier
-    return trace_norm(empirical.multiplier.multiplier - exact.multiplier)
+def _run_config(args) -> RunConfig:
+    """The config file args.config, with the command's flags as overrides."""
+    return parse_config(load_config_file(args.config),
+                        base_dir=os.path.dirname(os.path.abspath(args.config)),
+                        overrides=vars(args))
 
 
 def cmd_simulate(args) -> int:
-    data = load_config_file(args.config)
-    overrides = {}
-    for key in ("t", "epsilon", "shots", "seed"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.state_out is not None:
-        overrides["state_out"] = args.state_out
-    if args.metrics_out is not None:
-        overrides["metrics_out"] = args.metrics_out
-    cfg = parse_config(data, base_dir=_config_dir(args.config), overrides=overrides)
+    cfg = _run_config(args)
     if cfg.state_out is None or cfg.metrics_out is None:
         raise ConfigError("outputs", "simulate needs outputs.state and outputs.metrics")
-    kind = cfg.distribution_config.get("kind")
     started = time.perf_counter()
 
     if cfg.shots is None:
-        dist = build_distribution(cfg.distribution_config, cfg.t, cfg.epsilon)
-        channel = exact_channel(cfg.hamiltonian, dist)
-        final_state = channel.apply(cfg.initial_state)
-        row = ["exact", cfg.t, cfg.epsilon, None, None, None, None, None,
-               time.perf_counter() - started]
-    elif kind in ("gaussian", "truncated_gaussian"):
-        if cfg.t <= 0.0:
-            raise ConfigError("evolution.t", "sampled gaussian runs need t > 0")
-        dist = build_distribution(cfg.distribution_config, cfg.t, cfg.epsilon)
-        s_cut = dist.cutoff if isinstance(dist, TruncatedGaussian) else cutoff(cfg.t, cfg.epsilon)
-        plan = ShotPlan(t=cfg.t, epsilon=cfg.epsilon, cutoff=s_cut,
-                        shots=cfg.shots, seed=cfg.seed)
-        empirical, ledger = estimate_channel(cfg.hamiltonian, plan)
-        final_state = apply_schur(empirical.multiplier, cfg.initial_state)
-        truncated = TruncatedGaussian(variance=cfg.t, cutoff=s_cut)
-        distance = _choi_distance_to_exact(empirical, cfg, truncated)
-        row = ["sampled_gaussian", cfg.t, cfg.epsilon, s_cut, cfg.shots,
-               ledger.total_time, distance, tv_bound(cfg.t, s_cut),
-               time.perf_counter() - started]
-    elif kind == "compound_poisson":
-        dist = build_distribution(cfg.distribution_config, cfg.t, cfg.epsilon)
-        assert isinstance(dist, CompoundPoisson)
-        empirical, ledger = estimate_compound_channel(
-            cfg.hamiltonian, dist.base, cfg.t, cfg.shots, cfg.seed)
-        distance = _choi_distance_to_exact(empirical, cfg, dist)
-        final_state = apply_schur(empirical.multiplier, cfg.initial_state)
-        row = ["sampled_compound", cfg.t, cfg.epsilon, None, cfg.shots,
-               ledger.total_time, distance, None, time.perf_counter() - started]
+        final_state = exact_channel(cfg.hamiltonian, cfg.law).apply(cfg.initial_state)
+        row = ["exact", cfg.t, cfg.epsilon, None, None, None, None, None]
     else:
-        raise ConfigError("sampler.shots",
-                          f"distribution kind {kind!r} has no sampler; run without shots")
+        law = cfg.law
+        if isinstance(law, (Gaussian, TruncatedGaussian)) and cfg.t <= 0.0:
+            raise ConfigError("evolution.t", "sampled gaussian runs need t > 0")
+        if isinstance(law, Gaussian):
+            law = TruncatedGaussian(variance=cfg.t, cutoff=cutoff(cfg.t, cfg.epsilon))
+        if isinstance(law, TruncatedGaussian):
+            plan = ShotPlan(t=cfg.t, epsilon=cfg.epsilon, cutoff=law.cutoff,
+                            shots=cfg.shots, seed=cfg.seed)
+            empirical, ledger = estimate_channel(cfg.hamiltonian, plan)
+            mode, s_cut, tv = "sampled_gaussian", law.cutoff, tv_bound(cfg.t, law.cutoff)
+        elif isinstance(law, CompoundPoisson):
+            empirical, ledger = estimate_compound_channel(
+                cfg.hamiltonian, law.base, cfg.t, cfg.shots, cfg.seed)
+            mode, s_cut, tv = "sampled_compound", None, None
+        else:
+            raise ConfigError("sampler.shots",
+                              f"distribution {type(law).__name__} has no sampler; "
+                              "run without shots")
+        final_state = empirical.apply(cfg.initial_state)
+        # both multipliers live in the eigenbasis of cfg.hamiltonian, and the map
+        # from a multiplier to its Choi matrix is an isometry, so the d x d trace
+        # norm equals the Choi trace distance
+        exact = exact_channel(cfg.hamiltonian, law)
+        distance = trace_norm(empirical.multiplier - exact.multiplier)
+        row = [mode, cfg.t, cfg.epsilon, s_cut, cfg.shots, ledger.total_time, distance, tv]
+    row.append(time.perf_counter() - started)
 
     write_matrix(cfg.state_out, final_state)
     _write_csv(cfg.metrics_out, METRICS_HEADER, [row])
@@ -127,12 +115,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _config_dir(path: str) -> str:
-    return os.path.dirname(os.path.abspath(path))
-
-
 def cmd_verify(args) -> int:
-    dims = _parse_int_list(args.dims, "--dims")
+    dims = _flag_list(args.dims, "--dims", int, lambda d: 1 <= d <= MAX_VERIFY_DIM,
+                      f"an integer in [1, {MAX_VERIFY_DIM}]")
+    if args.trials < 1:
+        raise ConfigError("--trials", f"must be >= 1, got {args.trials}")
     report, ok = run_verification(dims=dims, trials=args.trials, seed=args.seed,
                                   inject_fault=args.inject_fault)
     print(report)
@@ -140,11 +127,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ts = _parse_float_list(args.ts, "--ts")
-    epsilons = _parse_float_list(args.epsilons, "--epsilons")
+    ts = _flag_list(args.ts, "--ts", float, lambda t: 0.0 < t < math.inf,
+                    "a finite number > 0")
+    epsilons = _flag_list(args.epsilons, "--epsilons", float, lambda e: 0.0 < e < 1.0,
+                          "a number in (0, 1)")
+    if not 1 <= args.draws <= MAX_BENCH_DRAWS:
+        raise ConfigError("--draws", f"must be in [1, {MAX_BENCH_DRAWS}], got {args.draws}")
     rows = []
     for eps in epsilons:
         table = scaling_table(ts, eps)
+        for t, s_cut, _ in table:
+            if not math.isfinite(s_cut):
+                raise ConfigError("--ts", f"the window S overflows at t={t:g}, epsilon={eps:g}")
         ratios = [row[2] for row in table]
         spread = max(ratios) - min(ratios)
         if spread > 1e-12:
@@ -165,24 +159,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_qpe(args) -> int:
-    data = load_config_file(args.config)
-    cfg = parse_config(data, base_dir=_config_dir(args.config),
-                       overrides={"t": args.t} if args.t is not None else None)
-    shots = args.shots
-    seed = args.seed if args.seed is not None else cfg.seed
-    if seed is None:
+    cfg = _run_config(args)
+    if cfg.seed is None:
         raise ConfigError("sampler.seed", "qpe needs a seed (flag or config)")
-    if shots is None:
-        shots = cfg.shots
-    if shots is None:
+    if cfg.shots is None:
         raise ConfigError("sampler.shots", "qpe needs a shot count (flag or config)")
-    if shots < 2:
+    if cfg.shots < 2:
         raise ConfigError("sampler.shots",
-                          f"need at least 2 shots for a standard error, got {shots}")
-    t = cfg.t
-    if t <= 0:
-        raise ConfigError("evolution.t", f"qpe needs t > 0, got {t}")
-    runs = resolve_spectrum(cfg.hamiltonian, t, shots, seed)
+                          f"need at least 2 shots for a standard error, got {cfg.shots}")
+    if cfg.t <= 0:
+        raise ConfigError("evolution.t", f"qpe needs t > 0, got {cfg.t}")
+    runs = resolve_spectrum(cfg.hamiltonian, cfg.t, cfg.shots, cfg.seed)
     if args.eigen_index is not None:
         if not 0 <= args.eigen_index < len(runs):
             raise ConfigError("--eigen-index",
@@ -203,18 +190,16 @@ def cmd_qpe(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _flag_list(text: str, flag: str, convert, valid, requirement: str) -> list:
+    """The comma-separated values of a list flag: at least one, each converted and valid."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [convert(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise ConfigError(flag, f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise ConfigError(flag, f"expected comma-separated numbers, got {text!r}") from None
+        values = []
+    if not values or not all(valid(v) for v in values):
+        raise ConfigError(flag, f"expected comma-separated values, each {requirement}; "
+                                f"got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

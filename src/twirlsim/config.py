@@ -41,6 +41,8 @@ from .matio import read_matrix
 from .pauli import parse_pauli_sum
 from .sampling import cutoff
 
+MAX_QUBITS = 10  # a 2^10 x 2^10 complex matrix is 16 MiB
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -50,7 +52,7 @@ class RunConfig:
     initial_state: np.ndarray
     t: float
     epsilon: float
-    distribution_config: dict
+    law: DistributionSpec
     shots: int | None
     seed: int | None
     state_out: str | None
@@ -220,13 +222,9 @@ def _build_hamiltonian(node, dim: int, qubits: int | None, base_dir: str) -> Her
         else:
             raise ConfigError("hamiltonian.pauli", "expected a string or list of strings")
         try:
-            op = parse_pauli_sum(text)
+            return parse_pauli_sum(text, qubits=qubits)
         except ParseError as exc:
             raise ConfigError("hamiltonian.pauli", str(exc)) from None
-        if op.dim != dim:
-            raise ConfigError("hamiltonian.pauli",
-                              f"parsed dimension {op.dim} does not match system dimension {dim}")
-        return op
     path = _resolve_input_path(node["matrix_file"], "hamiltonian.matrix_file", base_dir)
     try:
         mat = read_matrix(path)
@@ -284,10 +282,11 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
     """Validate a configuration mapping into a RunConfig.
 
     overrides maps flat keys (t, epsilon, shots, seed, state_out, metrics_out)
-    to values that win over the file contents.
+    to values that win over the file contents. A None value, or any other
+    key, is ignored, so a command's parsed flags can be passed as they are.
     """
     data = _expect_mapping(data, "config")
-    overrides = dict(overrides or {})
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
     _reject_unknown(data, {"system", "hamiltonian", "initial_state", "evolution",
                            "sampler", "outputs"}, "config")
 
@@ -299,8 +298,8 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
         raise ConfigError("system", "give exactly one of 'qubits' or 'dim'")
     if "qubits" in system:
         qubits = _integer(system["qubits"], "system.qubits")
-        if qubits < 1:
-            raise ConfigError("system.qubits", f"must be >= 1, got {qubits}")
+        if not 1 <= qubits <= MAX_QUBITS:
+            raise ConfigError("system.qubits", f"must be in [1, {MAX_QUBITS}], got {qubits}")
         dim = 2 ** qubits
     else:
         qubits = None
@@ -329,9 +328,7 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
         raise ConfigError("evolution.t", f"must be >= 0, got {t}")
     if not 0.0 < epsilon < 1.0:
         raise ConfigError("evolution.epsilon", f"must be in (0, 1), got {epsilon}")
-    distribution_config = _expect_mapping(evolution["distribution"], "evolution.distribution")
-    # validate eagerly so bad parameters fail at parse time
-    build_distribution(distribution_config, t if t > 0 else 1.0, epsilon)
+    law = build_distribution(evolution["distribution"], t, epsilon)
 
     shots = None
     seed = None
@@ -342,9 +339,9 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
             shots = _integer(sampler["shots"], "sampler.shots")
         if "seed" in sampler:
             seed = _integer(sampler["seed"], "sampler.seed")
-    if "shots" in overrides and overrides["shots"] is not None:
+    if "shots" in overrides:
         shots = int(overrides["shots"])
-    if "seed" in overrides and overrides["seed"] is not None:
+    if "seed" in overrides:
         seed = int(overrides["seed"])
     if shots is not None and shots < 1:
         raise ConfigError("sampler.shots", f"must be >= 1, got {shots}")
@@ -359,13 +356,12 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
             state_out = _resolve_output_path(outputs["state"], "outputs.state", base_dir)
         if "metrics" in outputs:
             metrics_out = _resolve_output_path(outputs["metrics"], "outputs.metrics", base_dir)
-    if overrides.get("state_out") is not None:
+    if "state_out" in overrides:
         state_out = _resolve_output_path(overrides["state_out"], "outputs.state", ".")
-    if overrides.get("metrics_out") is not None:
+    if "metrics_out" in overrides:
         metrics_out = _resolve_output_path(overrides["metrics_out"], "outputs.metrics", ".")
 
     return RunConfig(dim=dim, qubits=qubits, hamiltonian=hamiltonian,
-                     initial_state=state, t=t, epsilon=epsilon,
-                     distribution_config=distribution_config,
+                     initial_state=state, t=t, epsilon=epsilon, law=law,
                      shots=shots, seed=seed,
                      state_out=state_out, metrics_out=metrics_out)

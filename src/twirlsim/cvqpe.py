@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator
+from .linalg import as_operator
 from .sampling import derived_rng
 
 
@@ -56,7 +56,7 @@ def sample_k_mixture(h, psi0, t: float, rng: np.random.Generator,
     Gaussians, with weights |<j|psi0>|^2. Provided separately so the
     extension is always an explicit opt-in.
     """
-    op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
+    op = as_operator(h)
     amp = op.eigenvectors.conj().T @ np.asarray(psi0, dtype=np.complex128).reshape(-1)
     weights = np.abs(amp) ** 2
     total = weights.sum()
@@ -76,7 +76,7 @@ def estimate_lambda(h, eigen_index: int, t: float, shots: int, seed: int) -> Qpe
     variance). The stream is derived from (seed, eigen_index), so per-index
     runs are independent and reproducible.
     """
-    op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
+    op = as_operator(h)
     if not 0 <= eigen_index < op.dim:
         raise ValueError(f"eigen index {eigen_index} out of range for dimension {op.dim}")
     shots = int(shots)
@@ -93,5 +93,5 @@ def estimate_lambda(h, eigen_index: int, t: float, shots: int, seed: int) -> Qpe
 
 def resolve_spectrum(h, t: float, shots: int, seed: int) -> list[QpeRun]:
     """Run estimate_lambda for every eigenvalue, ascending."""
-    op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
+    op = as_operator(h)
     return [estimate_lambda(op, j, t, shots, seed) for j in range(op.dim)]

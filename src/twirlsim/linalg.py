@@ -117,10 +117,6 @@ class HermitianOperator:
     def eigenvectors(self) -> np.ndarray:
         return self.spectral.eigenvectors
 
-    @property
-    def spectral_norm(self) -> float:
-        return float(np.abs(self.eigenvalues).max()) if self.dim else 0.0
-
     def unitary_at(self, s: float) -> np.ndarray:
         """exp(-i H s) assembled from the cached decomposition."""
         return self.spectral.function_of(np.exp(-1j * self.eigenvalues * s))
@@ -129,6 +125,11 @@ class HermitianOperator:
         """Matrix of eigenvalue differences lambda_j - lambda_k."""
         lam = self.eigenvalues
         return lam[:, None] - lam[None, :]
+
+
+def as_operator(h) -> HermitianOperator:
+    """h itself if it is a HermitianOperator, else one built from the matrix h."""
+    return h if isinstance(h, HermitianOperator) else HermitianOperator(h)
 
 
 def vec(b) -> np.ndarray:

@@ -32,11 +32,13 @@ def pauli_word_matrix(word: str) -> np.ndarray:
     return reduce(np.kron, (PAULI_MATRICES[c] for c in word))
 
 
-def parse_pauli_sum(text) -> HermitianOperator:
+def parse_pauli_sum(text, qubits: int | None = None) -> HermitianOperator:
     """Parse Pauli-sum text (a string or an iterable of lines).
 
     Raises ParseError with the line (and column, for bad characters) of the
     first offending token. Coefficients must parse as finite real numbers.
+    When qubits is given, the word length must equal it; that is checked
+    before any matrix is built.
     """
     if isinstance(text, str):
         lines = text.splitlines()
@@ -72,6 +74,9 @@ def parse_pauli_sum(text) -> HermitianOperator:
         terms.append((coeff, word))
     if not terms:
         raise ParseError("no terms found")
+    if qubits is not None and width != qubits:
+        raise ParseError(f"parsed dimension {2 ** width} does not match "
+                         f"system dimension {2 ** qubits}")
     dim = 2 ** width
     total = np.zeros((dim, dim), dtype=np.complex128)
     for coeff, word in terms:

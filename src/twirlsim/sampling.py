@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .channels import SchurMultiplier, choi_of_schur
+from .channels import SchurMultiplier
 from .distributions import BaseLaw, CompoundPoisson, sample_law
-from .linalg import HermitianOperator
+from .linalg import as_operator
 
 CHUNK_SHOTS = 4096
 INVERSION_MAX_RATE = 700.0  # exp(-rate) stays a normal double below about 708
@@ -171,33 +170,17 @@ class CostLedger:
     shots: int
 
 
-@dataclass(frozen=True)
-class EmpiricalChannel:
-    """Mean of the sampled unitary conjugations, held as an empirical Schur multiplier.
+def empirical_channel(h, times) -> SchurMultiplier:
+    """Mean of the conjugations by exp(-iHs) over the given times, as a Schur multiplier.
 
     In the eigenbasis of H the multiplier is M_jk = (1/N) sum_n
     exp(-i (lambda_j - lambda_k) s_n), the empirical characteristic function
-    of the drawn times at the eigenvalue gaps. The d^2 x d^2 Choi matrix is
-    built from it only when asked for.
+    of the times at the eigenvalue gaps. The times are reduced in fixed
+    chunks of CHUNK_SHOTS: a chunk adds Phi^T conj(Phi), with
+    Phi[n, j] = exp(-i lambda_j s_n), to a d x d total, in chunk order. The
+    chunks only bound the size of the phase matrix Phi.
     """
-
-    dim: int
-    multiplier: SchurMultiplier
-    shots: int
-
-    @cached_property
-    def choi(self) -> np.ndarray:
-        return choi_of_schur(self.multiplier)
-
-
-def empirical_channel(h, times) -> EmpiricalChannel:
-    """Empirical channel of the unitaries exp(-iHs) at the given times.
-
-    The times are reduced in fixed chunks of CHUNK_SHOTS: a chunk adds
-    Phi^T conj(Phi), with Phi[n, j] = exp(-i lambda_j s_n), to a d x d total,
-    in chunk order. The chunks only bound the size of the phase matrix Phi.
-    """
-    op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
+    op = as_operator(h)
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError(f"need a non-empty 1-d array of times, got shape {times.shape}")
@@ -205,14 +188,13 @@ def empirical_channel(h, times) -> EmpiricalChannel:
     for start in range(0, times.size, CHUNK_SHOTS):
         phi = np.exp(-1j * np.multiply.outer(times[start:start + CHUNK_SHOTS], op.eigenvalues))
         total += phi.T @ phi.conj()
-    multiplier = SchurMultiplier(op.eigenvectors, total / times.size)
-    return EmpiricalChannel(dim=op.dim, multiplier=multiplier, shots=times.size)
+    return SchurMultiplier(op.eigenvectors, total / times.size)
 
 
-def estimate_channel(h, plan: ShotPlan) -> tuple[EmpiricalChannel, CostLedger]:
+def estimate_channel(h, plan: ShotPlan) -> tuple[SchurMultiplier, CostLedger]:
     """Estimate the Gaussian twirl channel from plan.shots sampled unitaries.
 
-    Returns the empirical channel (an unbiased estimate of the truncated
+    Returns the empirical multiplier (an unbiased estimate of the truncated
     twirl) and the cost ledger of |s| per shot.
     """
     times = np.array([sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, i))
@@ -275,7 +257,7 @@ def sample_compound_poisson(rate_time: float, base: BaseLaw,
 
 
 def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
-                              seed: int) -> tuple[EmpiricalChannel, CostLedger]:
+                              seed: int) -> tuple[SchurMultiplier, CostLedger]:
     """Estimate the compound Poisson twirl at time t from sampled total kicks.
 
     Each shot applies exp(-iHs) with s the summed jumps of one compound

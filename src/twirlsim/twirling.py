@@ -11,13 +11,12 @@ for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .channels import SchurMultiplier, apply_schur
+from .channels import SchurMultiplier
 from .distributions import (
     BaseLaw,
     CompoundPoisson,
@@ -28,42 +27,18 @@ from .distributions import (
     scale_triplet,
 )
 from .errors import CommutationError
-from .linalg import HermitianOperator, kron, require_square, unvec, vec
-
-
-def _as_operator(h) -> HermitianOperator:
-    if isinstance(h, HermitianOperator):
-        return h
-    return HermitianOperator(h)
+from .linalg import as_operator, kron, require_square, unvec, vec
 
 
 def schur_multiplier_for(h, dist: DistributionSpec) -> SchurMultiplier:
     """Multiplier of the twirl by dist in the eigenbasis of h."""
-    op = _as_operator(h)
+    op = as_operator(h)
     return SchurMultiplier(op.eigenvectors, char_minus(dist, op.gaps()))
 
 
-@dataclass(frozen=True)
-class TwirlChannel:
-    """Twirl of a Hamiltonian by a law on evolution times."""
-
-    hamiltonian: HermitianOperator
-    dist: DistributionSpec
-
-    @cached_property
-    def multiplier(self) -> SchurMultiplier:
-        return schur_multiplier_for(self.hamiltonian, self.dist)
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.dim
-
-    def apply(self, rho) -> np.ndarray:
-        return apply_schur(self.multiplier, rho)
-
-
-def exact_channel(h, dist: DistributionSpec) -> TwirlChannel:
-    return TwirlChannel(_as_operator(h), dist)
+def exact_channel(h, dist: DistributionSpec) -> SchurMultiplier:
+    """The exact twirl of h by dist; the same multiplier as schur_multiplier_for."""
+    return schur_multiplier_for(h, dist)
 
 
 def _require_time(t: float) -> float:
@@ -93,7 +68,7 @@ def compound_poisson_evolution(h, base: BaseLaw, rho, t: float) -> np.ndarray:
 
 def dissipator_matrix(h) -> np.ndarray:
     """K = H (x) I - I (x) H^T, so that vec(H rho H - {rho, H^2}/2) = -K^2/2 vec(rho)."""
-    op = _as_operator(h)
+    op = as_operator(h)
     eye = np.eye(op.dim)
     return kron(op.matrix, eye) - kron(eye, op.matrix.T)
 
@@ -106,7 +81,7 @@ def vectorized_oracle(h, rho, t: float) -> np.ndarray:
     """
     t = _require_time(t)
     rho = require_square(rho)
-    op = _as_operator(h)
+    op = as_operator(h)
     k = dissipator_matrix(op)
     w, v = np.linalg.eigh(k)
     factors = np.exp(-0.5 * t * w ** 2)
@@ -118,7 +93,7 @@ def commuting_generator_oracle(hams, rho, t: float) -> np.ndarray:
     """exp(t sum_k L_k) rho via the joint generator sum_k (-K_k^2 / 2)."""
     t = _require_time(t)
     rho = require_square(rho)
-    ops = [_as_operator(h) for h in hams]
+    ops = [as_operator(h) for h in hams]
     if not ops:
         return rho.copy()
     d = ops[0].dim
@@ -139,7 +114,7 @@ def sequential_choi_commuting(hams, rho, t: float,
     commutation_tol); otherwise CommutationError names the offending pair.
     For commuting jumps the result equals the joint-generator exponential.
     """
-    ops = [_as_operator(h) for h in hams]
+    ops = [as_operator(h) for h in hams]
     for a in range(len(ops)):
         for b in range(a + 1, len(ops)):
             comm = ops[a].matrix @ ops[b].matrix - ops[b].matrix @ ops[a].matrix
@@ -165,7 +140,7 @@ def hs_quadrature_check(h, t: float, nodes: int = 64) -> float:
         raise ValueError(f"time must be > 0, got {t}")
     if nodes < 16:
         raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
-    op = _as_operator(h)
+    op = as_operator(h)
     x, w = hermgauss(nodes)
     scale = math.sqrt(2.0 * t)
     acc = np.zeros((op.dim, op.dim), dtype=np.complex128)

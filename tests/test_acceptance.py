@@ -62,7 +62,7 @@ def report(number: int, name: str, passed: bool, detail: str, elapsed: float,
 
 
 def choi_of(h, dist) -> np.ndarray:
-    return choi_of_superoperator(superoperator_of_schur(exact_channel(h, dist).multiplier))
+    return choi_of_superoperator(superoperator_of_schur(exact_channel(h, dist)))
 
 
 def test_criterion_01_oracle_equivalence():
@@ -215,11 +215,11 @@ def test_criterion_08_compound_poisson():
     emp_g, ledger_g, emp_d, dirac_dist, exact_corner, metrics = _compound_runs()
     _cache["c8"] = metrics
 
-    multiplier = exact_channel(Z, CompoundPoisson(rate=1.0, base=Gaussian(1.0))).multiplier
+    multiplier = exact_channel(Z, CompoundPoisson(rate=1.0, base=Gaussian(1.0)))
     exact_dev = abs(multiplier.multiplier[0, 1] - exact_corner)
     sampled_dev = abs(emp_g.choi[0, 3] - exact_corner)
 
-    dirac_multiplier = exact_channel(Z, CompoundPoisson(rate=1.0, base=Dirac(math.pi))).multiplier
+    dirac_multiplier = exact_channel(Z, CompoundPoisson(rate=1.0, base=Dirac(math.pi)))
     dirac_exact_dev = float(np.abs(dirac_multiplier.multiplier - 1.0).max())
 
     mean_cost = ledger_g.total_time / ledger_g.shots

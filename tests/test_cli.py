@@ -17,7 +17,9 @@ from twirlsim import (
     read_matrix,
     write_matrix,
 )
-from twirlsim.cli import METRICS_HEADER, main
+from twirlsim import pauli
+from twirlsim.cli import MAX_BENCH_DRAWS, MAX_VERIFY_DIM, METRICS_HEADER, main
+from twirlsim.config import MAX_QUBITS
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
 from twirlsim.sampling import cutoff
 
@@ -128,6 +130,30 @@ def test_parse_pauli_dimension_mismatch(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(data, base_dir=str(tmp_path))
     assert "dimension" in str(err.value)
+
+
+def refuse_pauli_matrices(monkeypatch):
+    def refuse(word):
+        raise AssertionError(f"built a matrix for a {len(word)}-letter word")
+    monkeypatch.setattr(pauli, "pauli_word_matrix", refuse)
+
+
+def test_parse_word_length_checked_before_any_matrix(tmp_path, monkeypatch):
+    refuse_pauli_matrices(monkeypatch)
+    data = base_config(hamiltonian={"pauli": "1.0 " + "X" * 40})
+    with pytest.raises(ConfigError) as err:
+        parse_config(data, base_dir=str(tmp_path))
+    assert err.value.location == "hamiltonian.pauli"
+    assert "dimension" in str(err.value)
+
+
+def test_parse_qubits_capped_before_any_matrix(tmp_path, monkeypatch):
+    refuse_pauli_matrices(monkeypatch)
+    qubits = MAX_QUBITS + 1
+    data = base_config(system={"qubits": qubits}, hamiltonian={"pauli": "1.0 " + "Z" * qubits})
+    with pytest.raises(ConfigError) as err:
+        parse_config(data, base_dir=str(tmp_path))
+    assert err.value.location == "system.qubits"
 
 
 def test_parse_matrix_file_hamiltonian(tmp_path):
@@ -431,6 +457,39 @@ def test_qpe_runs_and_writes_csv(tmp_path, capsys):
     assert abs(est0 + 1.0) < 0.05 and abs(est1 - 1.0) < 0.05
     low, high = float(rows[1][4]), float(rows[1][5])
     assert low < est0 < high
+
+
+def test_qpe_seed_flag_completes_config_with_shots(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(sampler={"shots": 200}))
+    assert main(["qpe", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: sampler.seed:")
+    assert main(["qpe", "--config", path, "--seed", "3"]) == 0
+    assert "eigenvalue[1]" in capsys.readouterr().out
+
+
+BAD_FLAGS = [
+    (["bench", "--ts", "1", "--draws", "0"], "--draws"),
+    (["bench", "--ts", "1", "--draws", "-5"], "--draws"),
+    (["bench", "--ts", "1", "--draws", str(MAX_BENCH_DRAWS + 1)], "--draws"),
+    (["bench", "--ts", "inf", "--draws", "10"], "--ts"),
+    (["bench", "--ts", "0", "--draws", "10"], "--ts"),
+    (["bench", "--ts", ",", "--draws", "10"], "--ts"),
+    (["bench", "--ts", "1e308", "--draws", "10"], "--ts"),
+    (["bench", "--ts", "1", "--epsilons", "5", "--draws", "10"], "--epsilons"),
+    (["bench", "--ts", "1", "--epsilons", "nan", "--draws", "10"], "--epsilons"),
+    (["verify", "--dims", "0"], "--dims"),
+    (["verify", "--dims", ","], "--dims"),
+    (["verify", "--dims", str(MAX_VERIFY_DIM + 1)], "--dims"),
+    (["verify", "--dims", "2", "--trials", "0"], "--trials"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_FLAGS)
+def test_bad_flag_is_named_with_exit_2(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}:")
+    assert captured.out == ""
 
 
 def test_qpe_single_index_and_validation(tmp_path, capsys):

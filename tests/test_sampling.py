@@ -49,7 +49,7 @@ def normal_cdf(x: float) -> float:
 
 
 def choi_of(h, dist) -> np.ndarray:
-    return choi_of_superoperator(superoperator_of_schur(exact_channel(h, dist).multiplier))
+    return choi_of_superoperator(superoperator_of_schur(exact_channel(h, dist)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,6 @@ def test_shot_plan_derives_cutoff():
 
 def test_estimate_channel_single_zero_shot_is_identity_choi():
     emp = empirical_channel(Z, [0.0])
-    assert emp.shots == 1
     assert np.abs(emp.choi - choi_of_unitary(np.eye(2))).max() < 1e-15
 
 
@@ -311,11 +310,71 @@ def test_compound_engine_matches_per_shot_choi(d, shots):
     assert np.abs(emp.choi - reference_choi(op, times)).max() <= 1e-13
 
 
+# ---------------------------------------------------------------------------
+# unbiasedness of the empirical multiplier over many seeds
+# ---------------------------------------------------------------------------
+
+# A shot adds exp(-i gap s) to each entry of the empirical multiplier, so the
+# real and imaginary parts of a shot's entry lie in [-1, 1], and Hoeffding's
+# inequality bounds a mean of n independent shots:
+# P(|mean - E| >= u) <= 2 exp(-n u^2 / 2).
+UNBIASED_SEEDS = 20
+UNBIASED_SHOTS = 4000
+UNBIASED_FALSE_ALARM = 1e-6  # family-wise, over every check of one test
+
+
+def hoeffding_radius(shots: int, checks: int, false_alarm: float) -> float:
+    """u with checks * 2 exp(-shots u^2 / 2) = false_alarm (a union bound over the checks)."""
+    return math.sqrt(2.0 * math.log(2.0 * checks / false_alarm) / shots)
+
+
+def assert_unbiased(estimates, expected: np.ndarray) -> None:
+    """Each seed's multiplier, and their mean, lie within Hoeffding radii of the exact one.
+
+    The checked quantities are the real and imaginary parts of the entries
+    above the diagonal (the multiplier is Hermitian with unit diagonal). Half
+    the false-alarm budget goes to the per-seed checks, half to the mean over
+    all seeds, which is a mean of seeds * shots independent shots.
+    """
+    upper = np.triu_indices(expected.shape[0], 1)
+
+    def parts(m):
+        return np.concatenate([m[upper].real, m[upper].imag])
+
+    deviations = np.array([parts(m) - parts(expected) for m in estimates])
+    budget = UNBIASED_FALSE_ALARM / 2.0
+    assert np.abs(deviations).max() <= hoeffding_radius(UNBIASED_SHOTS, deviations.size, budget)
+    pooled_shots = len(estimates) * UNBIASED_SHOTS
+    assert (np.abs(deviations.mean(axis=0)).max()
+            <= hoeffding_radius(pooled_shots, deviations.shape[1], budget))
+
+
+UNBIASED_OP = HermitianOperator(random_hermitian(4, np.random.default_rng(4), scale=1.5))
+
+
+def test_truncated_gaussian_multiplier_is_unbiased_over_seeds():
+    t, epsilon = 1.0, 0.01
+    estimates = [estimate_channel(UNBIASED_OP, ShotPlan.with_derived_cutoff(
+                     t, epsilon, UNBIASED_SHOTS, seed))[0].multiplier
+                 for seed in range(UNBIASED_SEEDS)]
+    law = TruncatedGaussian(variance=t, cutoff=cutoff(t, epsilon))
+    assert_unbiased(estimates, exact_channel(UNBIASED_OP, law).multiplier)
+
+
+def test_compound_multiplier_is_unbiased_over_seeds():
+    # an asymmetric base law gives the multiplier imaginary parts to check
+    base, t = FiniteMixture(((0.6, 0.25), (-1.1, 0.75))), 1.5
+    estimates = [estimate_compound_channel(UNBIASED_OP, base, t, UNBIASED_SHOTS, seed)[0].multiplier
+                 for seed in range(UNBIASED_SEEDS)]
+    law = CompoundPoisson(rate=t, base=base)
+    assert_unbiased(estimates, exact_channel(UNBIASED_OP, law).multiplier)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
 def test_empirical_multiplier_is_hermitian_psd_unit_diagonal(spectrum, times):
-    m = empirical_channel(np.diag(spectrum), times).multiplier.multiplier
+    m = empirical_channel(np.diag(spectrum), times).multiplier
     assert np.abs(m - m.conj().T).max() <= 1e-14
     assert np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() >= -1e-12
     assert np.abs(np.diag(m) - 1.0).max() <= 1e-14
@@ -406,7 +465,7 @@ def test_compound_kicks_split_rate_above_inversion_cap():
 def test_estimate_compound_channel_above_inversion_cap():
     t, shots = 1000.0, 200
     emp, ledger = estimate_compound_channel(Z, Dirac(math.pi), t, shots, seed=8)
-    assert np.abs(emp.multiplier.multiplier - 1.0).max() <= 1e-9
+    assert np.abs(emp.multiplier - 1.0).max() <= 1e-9
     # the kick count is Poisson(t): its shot mean has standard error
     # sqrt(t / shots), and a 6-sigma miss has probability below 2e-9
     mean_kicks = ledger.total_time / shots / math.pi
