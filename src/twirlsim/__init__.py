@@ -88,7 +88,6 @@ from .sampling import (
     estimate_channel,
     estimate_compound_channel,
     mean_sampled_cost,
-    poisson_by_inversion,
     sample_compound_poisson,
     sample_truncated_normal,
     scaling_table,

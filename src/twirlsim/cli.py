@@ -24,7 +24,7 @@ import numpy as np
 from .config import RunConfig, load_config_file, parse_config
 from .cvqpe import resolve_spectrum
 from .distributions import CompoundPoisson, Gaussian, TruncatedGaussian
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .linalg import trace_norm
 from .matio import format_float, write_matrix
 from .sampling import (
@@ -250,10 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import singledispatch
+from functools import cache, singledispatch
 from typing import Union
 
 import numpy as np
@@ -22,13 +22,14 @@ from .errors import DistributionError
 
 TRUNCATED_CHAR_NODES = 64
 TRUNCATED_CHAR_SIGMAS = 8.0  # the N(0, v) mass beyond 8 sigma is about 1e-15
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+TRUNCATED_CHAR_MAX_PHASE = 32.0  # |omega| * W up to which the 64-node rule does not alias
+TRUNCATED_CHAR_TERMS = 30  # terms of the erfc series used beyond it
+TRUNCATED_CHAR_BLOCK = 1 << 18  # cosine matrix entries evaluated at once
 
 
+@cache
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = leggauss(n)
-    return _leggauss_cache[n]
+    return leggauss(n)
 
 
 def _as_atoms(pairs) -> tuple[tuple[float, float], ...]:
@@ -219,22 +220,52 @@ def _(dist: CompoundPoisson, omega):
     return _shaped(np.exp(dist.rate * (np.asarray(base) - 1.0)), omega)
 
 
+def _truncated_char_rule(variance: float, width: float, freqs: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre cosine transform of the density on [-W, W], over its value at freqs[0] = 0."""
+    nodes, weights = _gl_nodes(TRUNCATED_CHAR_NODES)
+    s = nodes * width
+    density_weights = weights * np.exp(-0.5 * s ** 2 / variance)
+    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
+    sums = np.concatenate([np.cos(np.multiply.outer(freqs[i:i + rows], s)) @ density_weights
+                           for i in range(0, freqs.size, rows)])
+    return sums / sums[0]
+
+
+def _truncated_char_series(variance: float, width: float, freqs: np.ndarray) -> np.ndarray:
+    """exp(-b^2) Re erf(a + ib) / erf(a), a = W / sqrt(2v), b = omega sqrt(v/2), by the erfc series."""
+    a = width / math.sqrt(2.0 * variance)
+    b = freqs * math.sqrt(0.5 * variance)
+    z = a + 1j * b
+    term = total = np.ones_like(z)
+    for k in range(1, TRUNCATED_CHAR_TERMS):
+        term = term * (-(2 * k - 1) / (2.0 * z * z))
+        total = total + term
+    # erfc(z) ~ exp(-z^2) total / (z sqrt(pi)), and exp(-b^2 - z^2) = exp(-a^2 - 2iab)
+    tail = np.exp(-a * a - 2j * a * b) * total / (z * math.sqrt(math.pi))
+    return (np.exp(-b * b) - tail.real) / math.erf(a)
+
+
 @char_minus.register
 def _(dist: TruncatedGaussian, omega):
-    # Gauss-Legendre on [-W, W] with W = min(cutoff, 8 sigma): a wider window
-    # adds mass below the rule's accuracy but spreads the nodes past the
-    # density, which then underflows. The normalization uses the same nodes,
-    # so char(0) = 1 holds exactly.
-    if dist.variance == 0.0:
-        w = np.asarray(omega, dtype=np.float64)
-        return _shaped(np.ones(w.shape, dtype=np.complex128), omega)
-    nodes, weights = _gl_nodes(TRUNCATED_CHAR_NODES)
-    s = nodes * min(dist.cutoff, TRUNCATED_CHAR_SIGMAS * math.sqrt(dist.variance))
-    density_weights = weights * np.exp(-0.5 * s ** 2 / dist.variance)
+    # The law is taken on [-W, W] with W = min(cutoff, 8 sigma): a wider window
+    # adds mass below double precision but spreads quadrature nodes past the
+    # density, which then underflows. The law is symmetric, so the value is a
+    # cosine transform, computed once per distinct |omega|. Below
+    # |omega| W = TRUNCATED_CHAR_MAX_PHASE a 64-node Gauss-Legendre rule
+    # resolves it, normalized by its own value at 0 so that char(0) = 1
+    # exactly; above, where the rule aliases, the closed form through erfc is
+    # used, and its asymptotic series has converged because
+    # |a + ib|^2 >= 2ab = |omega| W.
     w = np.asarray(omega, dtype=np.float64)
-    phases = np.exp(-1j * np.multiply.outer(w, s))
-    value = phases @ density_weights / density_weights.sum()
-    return _shaped(value, omega)
+    if dist.variance == 0.0:
+        return _shaped(np.ones(w.shape, dtype=np.complex128), omega)
+    width = min(dist.cutoff, TRUNCATED_CHAR_SIGMAS * math.sqrt(dist.variance))
+    freqs, where = np.unique(np.append(0.0, np.abs(w)), return_inverse=True)
+    near = freqs * width < TRUNCATED_CHAR_MAX_PHASE
+    value = np.empty(freqs.size)
+    value[near] = _truncated_char_rule(dist.variance, width, freqs[near])
+    value[~near] = _truncated_char_series(dist.variance, width, freqs[~near])
+    return _shaped(value[where[1:]].reshape(w.shape).astype(np.complex128), omega)
 
 
 @char_minus.register

@@ -22,16 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .channels import SchurMultiplier
 from .distributions import BaseLaw, CompoundPoisson, sample_law
 from .linalg import as_operator
 
 CHUNK_SHOTS = 4096
-INVERSION_MAX_RATE = 700.0  # exp(-rate) stays a normal double below about 708
-MAX_SAMPLED_RATE = 1e6  # a sampled compound shot costs O(rate) Python steps
-TV_EXACT_NODES = 128
+MAX_SAMPLED_RATE = 1e6  # a sampled compound shot holds about `rate` kicks
 _MAX_EPSILON = 4.0  # cutoff is real and positive only for epsilon below 4
 
 
@@ -75,22 +72,13 @@ def tv_bound(t: float, s_cut: float) -> float:
     return min(value, 1.0)
 
 
-_tv_nodes, _tv_weights = leggauss(TV_EXACT_NODES)
-
-
 def tv_exact(t: float, s_cut: float) -> float:
-    """Exact truncation error 1 - Z where Z is the N(0, t) mass of [-S, S].
-
-    Z is computed by Gauss-Legendre quadrature of the density over the window.
-    """
+    """Exact truncation error: the N(0, t) mass outside [-S, S], erfc(S / sqrt(2t))."""
     t = float(t)
     s_cut = float(s_cut)
     if not (t > 0.0 and s_cut > 0.0):
         raise ValueError(f"need t > 0 and S > 0, got t={t}, S={s_cut}")
-    s = _tv_nodes * s_cut
-    density = np.exp(-0.5 * s ** 2 / t) / math.sqrt(2.0 * math.pi * t)
-    mass = float((_tv_weights * density).sum() * s_cut)
-    return max(0.0, 1.0 - mass)
+    return math.erfc(s_cut / math.sqrt(2.0 * t))
 
 
 def sample_truncated_normal(t: float, s_cut: float, rng: np.random.Generator,
@@ -209,43 +197,12 @@ def estimate_channel(h, plan: ShotPlan) -> tuple[SchurMultiplier, CostLedger]:
 # compound Poisson sampling
 # ---------------------------------------------------------------------------
 
-def poisson_by_inversion(rate: float, rng: np.random.Generator) -> int:
-    """Poisson draw by inversion with sequential search.
-
-    Exact and branch-free of library differences; intended for the moderate
-    rates used here (exp(-rate) must not underflow).
-    """
-    rate = float(rate)
-    if not rate >= 0.0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    if rate > INVERSION_MAX_RATE:
-        raise ValueError(f"rate {rate} too large for inversion sampling")
-    u = rng.random()
-    k = 0
-    p = math.exp(-rate)
-    cum = p
-    while u > cum:
-        k += 1
-        p *= rate / k
-        cum += p
-    return k
-
-
 def compound_poisson_kicks(rate_time: float, base: BaseLaw,
                            rng: np.random.Generator) -> np.ndarray:
-    """The individual jumps of one compound Poisson draw; the caller validates the law.
-
-    The jump count sums Poisson draws over ceil(rate / INVERSION_MAX_RATE)
-    equal pieces of the rate, which is exact by Poisson additivity and keeps
-    each piece in the inversion sampler's range. A rate of at most
-    INVERSION_MAX_RATE is one piece, drawn at the rate itself.
-    """
+    """The individual jumps of one compound Poisson draw; the caller validates the law."""
     if rate_time > MAX_SAMPLED_RATE:
         raise ValueError(f"rate {rate_time} too large to sample (at most {MAX_SAMPLED_RATE:g})")
-    pieces = max(1, math.ceil(rate_time / INVERSION_MAX_RATE))
-    n = sum(poisson_by_inversion(rate_time / pieces, rng) for _ in range(pieces))
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
+    n = int(rng.poisson(rate_time))
     return np.asarray(sample_law(base, rng, size=n), dtype=np.float64)
 
 

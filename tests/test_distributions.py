@@ -26,10 +26,16 @@ rng = np.random.default_rng(12)
 mp.mp.dps = 30
 
 
-def quad_char(density, lo, hi, omega):
-    """Independent characteristic-function oracle by high-precision quadrature."""
-    num = mp.quad(lambda s: density(s) * mp.e ** (-1j * omega * s), [lo, 0, hi])
-    den = mp.quad(density, [lo, 0, hi])
+def quad_char(density, lo, hi, omega, periods=8):
+    """Independent characteristic-function oracle by high-precision quadrature.
+
+    Breakpoints lie at most `periods` periods of exp(-i omega s) apart, so no
+    subinterval oscillates more than the quadrature resolves.
+    """
+    pieces = 2 * max(1, math.ceil(abs(omega) * (hi - lo) / (4.0 * math.pi * periods)))
+    points = mp.linspace(lo, hi, pieces + 1)
+    num = mp.quad(lambda s: density(s) * mp.e ** (-1j * omega * s), points)
+    den = mp.quad(density, points)
     return complex(num / den)
 
 
@@ -56,25 +62,48 @@ def test_compound_poisson_char_frozen_value():
     assert abs(value - 0.42119274782353533) < 1e-15
 
 
+# omega * sigma values past the 64-node rule's reach on one panel
+LARGE_PHASES = (9.25, 16.0, 37.0, 100.0)
+
+
 def test_truncated_gaussian_char_against_quadrature_oracle():
-    t, s_cut = 1.0, math.sqrt(2.0 * math.log(400.0))
-    dist = TruncatedGaussian(variance=t, cutoff=s_cut)
-    for w in (0.0, 0.5, 2.0, 3.0):
-        oracle = quad_char(lambda s: mp.e ** (-s ** 2 / (2 * t)), -s_cut, s_cut, w)
-        assert abs(char_minus(dist, w) - oracle) < 1e-12
-    # char(0) is exactly 1 because numerator and denominator share nodes
-    assert char_minus(dist, 0.0) == 1.0
+    # at the derived cutoff (S = 3.46 sigma); t = 4 with gap 18.5 is a one-qubit 9.25 Z
+    for t in (1.0, 4.0):
+        sigma, s_cut = math.sqrt(t), math.sqrt(2.0 * t * math.log(400.0))
+        dist = TruncatedGaussian(variance=t, cutoff=s_cut)
+        for ws in (0.0, 0.5, 2.0, 3.0) + LARGE_PHASES:
+            w = ws / sigma
+            oracle = quad_char(lambda s: mp.e ** (-s ** 2 / (2 * t)), -s_cut, s_cut, w)
+            assert abs(char_minus(dist, w) - oracle) < 1e-12, (t, ws)
+        # char(0) is exactly 1 because numerator and denominator share nodes
+        assert char_minus(dist, 0.0) == 1.0
 
 
 def test_truncated_gaussian_char_wide_window():
     # at S = 20 sigma, nodes spread over the whole window miss the density;
     # at variance 1e-190 the density underflows at every node
-    t, s_cut = 1.0, 20.0
-    dist = TruncatedGaussian(variance=t, cutoff=s_cut)
-    for w in (0.5, 2.0, 3.0):
-        oracle = quad_char(lambda s: mp.e ** (-s ** 2 / (2 * t)), -s_cut, s_cut, w)
-        assert abs(char_minus(dist, w) - oracle) < 1e-12
+    t = 1.0
+    for s_cut in (8.0, 20.0):
+        dist = TruncatedGaussian(variance=t, cutoff=s_cut)
+        for w in (0.5, 2.0, 3.0) + LARGE_PHASES:
+            oracle = quad_char(lambda s: mp.e ** (-s ** 2 / (2 * t)), -s_cut, s_cut, w)
+            assert abs(char_minus(dist, w) - oracle) < 1e-12, (s_cut, w)
     assert abs(char_minus(TruncatedGaussian(variance=1e-190, cutoff=1.0), 3.0) - 1.0) < 1e-15
+
+
+def test_truncated_gaussian_char_large_gaps_against_closed_form():
+    # far past any quadrature oracle's reach: exp(-b^2) Re erf(a + ib) / erf(a)
+    # with a = S / sqrt(2v), b = omega sqrt(v/2), evaluated by mpmath
+    def closed_form(v, s_cut, w):
+        a, b = mp.mpf(s_cut) / mp.sqrt(2 * v), mp.mpf(w) * mp.sqrt(mp.mpf(v) / 2)
+        return float(mp.e ** (-b * b) * mp.re(mp.erf(a + 1j * b)) / mp.erf(a))
+
+    for v, ratio in ((1.0, 0.01), (4.0, 0.3), (0.25, math.sqrt(2.0 * math.log(400.0)))):
+        s_cut = ratio * math.sqrt(v)
+        ws = np.array([1e2, 1e3, 1e5, 1e7]) / math.sqrt(v)
+        got = char_minus(TruncatedGaussian(variance=v, cutoff=s_cut), ws)
+        for w, value in zip(ws, got):
+            assert abs(value - closed_form(v, s_cut, w)) < 1e-12, (v, ratio, w)
 
 
 def test_char_minus_vectorized_and_conjugate_symmetric():

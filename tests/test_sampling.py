@@ -26,10 +26,8 @@ from twirlsim import (
     estimate_channel,
     estimate_compound_channel,
     exact_channel,
-    poisson_by_inversion,
     random_hermitian,
     sample_compound_poisson,
-    sample_law,
     sample_truncated_normal,
     scaling_table,
     superoperator_of_schur,
@@ -93,6 +91,10 @@ def test_tv_exact_frozen_value_and_erf_oracle():
         for s_cut in (0.5 * math.sqrt(t), 2.0 * math.sqrt(t), 3.5 * math.sqrt(t)):
             oracle = 2.0 * (1.0 - normal_cdf(s_cut / math.sqrt(t)))
             assert abs(tv_exact(t, s_cut) - oracle) < 1e-12
+        # wide windows: relative accuracy, and exactly 0 once the mass underflows
+        for k in (10.0, 40.0, 100.0, 1000.0):
+            oracle = float(mp.erfc(k / mp.sqrt(2)))
+            assert abs(tv_exact(t, k * math.sqrt(t)) - oracle) <= 1e-12 * oracle, (t, k)
 
 
 def test_tv_exact_below_bound_and_epsilon():
@@ -394,25 +396,6 @@ def test_choi_of_schur_matches_superoperator_route(d, seed):
 # compound Poisson sampling
 # ---------------------------------------------------------------------------
 
-def test_poisson_by_inversion_distribution():
-    rate, n = 3.0, 100_000
-    rng = derived_rng(13, 0)
-    draws = np.array([poisson_by_inversion(rate, rng) for _ in range(n)])
-    assert abs(draws.mean() - rate) < 4.0 * math.sqrt(rate / n)
-    assert abs(draws.var() - rate) < 0.1
-    pmf = math.exp(-rate)
-    for k in range(10):
-        observed = (draws == k).mean()
-        sigma = math.sqrt(pmf * (1 - pmf) / n)
-        assert abs(observed - pmf) < 5.0 * sigma, k
-        pmf *= rate / (k + 1)
-    assert poisson_by_inversion(0.0, rng) == 0
-    with pytest.raises(ValueError):
-        poisson_by_inversion(-1.0, rng)
-    with pytest.raises(ValueError):
-        poisson_by_inversion(1e4, rng)
-
-
 def test_sample_compound_poisson_moments():
     rng = derived_rng(29, 0)
     n = 40_000
@@ -445,19 +428,27 @@ def test_estimate_compound_channel_mixture_cost():
     assert choi_trace_distance(emp.choi, exact) <= 0.05
 
 
-def test_compound_kicks_one_piece_up_to_inversion_cap():
-    # a rate the inversion sampler accepts keeps its single-draw stream
-    for rate in (2.0, 700.0):
-        rng, replay = derived_rng(3, 1), derived_rng(3, 1)
-        kicks = compound_poisson_kicks(rate, Gaussian(1.0), rng)
-        count = poisson_by_inversion(rate, replay)
-        assert np.array_equal(kicks, sample_law(Gaussian(1.0), replay, size=count))
-
-
-def test_compound_kicks_split_rate_above_inversion_cap():
-    rng, replay = derived_rng(3, 2), derived_rng(3, 2)
-    kicks = compound_poisson_kicks(1000.0, Dirac(1.0), rng)
-    assert kicks.size == poisson_by_inversion(500.0, replay) + poisson_by_inversion(500.0, replay)
+def test_compound_kick_count_is_poisson():
+    # the mean and pmf checks are Bernstein tail bounds, union-bounded to a
+    # false-alarm rate of 1e-6 for the whole test; the variance check allows
+    # eight standard errors, a normal-approximation tail of about 1e-15
+    cases = ((3.0, 40_000, range(0, 13)), (1000.0, 20_000, range(900, 1101, 10)))
+    log_terms = math.log(2.0 * sum(1 + len(ks) for _, _, ks in cases) / 1e-6)
+    for rate, n, ks in cases:
+        rng = derived_rng(13, int(rate))
+        counts = np.array([compound_poisson_kicks(rate, Dirac(1.0), rng).size for _ in range(n)])
+        # the total is Poisson(n rate); Bernstein: P(|T - mu| > x) <= 2 exp(-x^2 / (2 (mu + x/3)))
+        mu = n * rate
+        x = math.sqrt(2.0 * mu * log_terms) + 2.0 * log_terms / 3.0
+        assert abs(counts.sum() - mu) <= x, rate
+        # the sample variance has standard error sqrt((rate + 2 rate^2) / n)
+        assert abs(counts.var() - rate) <= 8.0 * math.sqrt((rate + 2.0 * rate ** 2) / n), rate
+        # each frequency is a Binomial(n, p) mean; Bernstein again
+        for k in ks:
+            p = math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
+            tol = math.sqrt(2.0 * p * (1.0 - p) * log_terms / n) + 2.0 * log_terms / (3.0 * n)
+            assert abs((counts == k).mean() - p) <= tol, (rate, k)
+    assert compound_poisson_kicks(0.0, Dirac(1.0), rng).size == 0
     with pytest.raises(ValueError):
         compound_poisson_kicks(2.0 * MAX_SAMPLED_RATE, Dirac(1.0), rng)
 
