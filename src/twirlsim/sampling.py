@@ -10,10 +10,12 @@ Every sampled channel, Gaussian or compound, is kept as an empirical Schur
 multiplier in the eigenbasis of H: the mean over shots of the rank-one
 multipliers phi phi^dag with phi_j = exp(-i lambda_j s).
 
-Reproducibility: every shot owns a counter-based stream derived from
-(seed, shot_index), shots are reduced in fixed chunks combined in index
-order, and per-shot costs are totaled with exact summation. Results are
-therefore bit-identical across repeated runs.
+Reproducibility: shots form fixed chunks of CHUNK_SHOTS. A Gaussian chunk
+draws all its times from one counter-based stream derived from
+(seed, chunk_index); a compound shot draws from a stream derived from
+(seed, shot_index). Chunks are reduced in index order, and per-shot costs
+are totaled with exact summation. Results are therefore bit-identical
+across repeated runs.
 """
 
 from __future__ import annotations
@@ -182,11 +184,15 @@ def empirical_channel(h, times) -> SchurMultiplier:
 def estimate_channel(h, plan: ShotPlan) -> tuple[SchurMultiplier, CostLedger]:
     """Estimate the Gaussian twirl channel from plan.shots sampled unitaries.
 
+    Chunk c of CHUNK_SHOTS shots (the last one holds the remainder) draws
+    its times in one call from the stream derived_rng(plan.seed, c).
     Returns the empirical multiplier (an unbiased estimate of the truncated
     twirl) and the cost ledger of |s| per shot.
     """
-    times = np.array([sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, i))
-                      for i in range(plan.shots)])
+    times = np.concatenate([
+        sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, c),
+                                size=min(CHUNK_SHOTS, plan.shots - start))
+        for c, start in enumerate(range(0, plan.shots, CHUNK_SHOTS))])
     costs = np.abs(times)
     ledger = CostLedger(per_shot_times=costs, total_time=math.fsum(costs),
                         worst_case=plan.cutoff, shots=plan.shots)

@@ -299,8 +299,8 @@ def test_simulate_compound_poisson(tmp_path):
     assert np.abs(read_matrix(state_path) - plus_state(1)).max() < 1e-12
 
 
-def test_simulate_compound_poisson_above_inversion_rate_cap(tmp_path):
-    # rate t = 1000 is split into pieces the inversion sampler accepts
+def test_simulate_compound_poisson_at_rate_1000(tmp_path):
+    # about 1000 kicks of pi per shot; each is a full turn of the Z coherence
     cfg = base_config(sampler={"shots": 50, "seed": 6})
     cfg["evolution"]["distribution"] = {
         "kind": "compound_poisson",

@@ -35,6 +35,7 @@ from twirlsim import (
     tv_exact,
     vec,
 )
+from twirlsim import sampling
 from twirlsim.sampling import MAX_SAMPLED_RATE, compound_poisson_kicks, mean_sampled_cost
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -288,13 +289,22 @@ def reference_choi(op: HermitianOperator, times) -> np.ndarray:
 ENGINE_CASES = [(2, 4100), (8, 300), (16, 150)]
 
 
+def chunk_times(plan: ShotPlan) -> np.ndarray:
+    """Gaussian shot times as the stream contract gives them: chunk c of 4096
+    shots (the last one holds the remainder) drawn in one call from
+    derived_rng(seed, c)."""
+    return np.concatenate([
+        sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, c),
+                                size=min(4096, plan.shots - start))
+        for c, start in enumerate(range(0, plan.shots, 4096))])
+
+
 @pytest.mark.parametrize("d,shots", ENGINE_CASES)
 def test_gaussian_engine_matches_per_shot_choi(d, shots):
     op = HermitianOperator(random_hermitian(d, np.random.default_rng(d)))
     plan = ShotPlan.with_derived_cutoff(1.3, 0.01, shots, seed=40 + d)
     emp, ledger = estimate_channel(op, plan)
-    times = [sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, i))
-             for i in range(shots)]
+    times = chunk_times(plan)
     assert np.array_equal(ledger.per_shot_times, np.abs(times))
     assert np.abs(emp.choi - reference_choi(op, times)).max() <= 1e-13
 
@@ -310,6 +320,45 @@ def test_compound_engine_matches_per_shot_choi(d, shots):
     assert ledger.worst_case == costs.max()
     times = [float(k.sum()) for k in kicks]
     assert np.abs(emp.choi - reference_choi(op, times)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("shots", [1, 4096, 4097, 9000])
+def test_gaussian_estimate_draws_one_stream_per_chunk(monkeypatch, shots):
+    indices = []
+
+    def counting(seed, index):
+        indices.append(index)
+        return derived_rng(seed, index)
+
+    monkeypatch.setattr(sampling, "derived_rng", counting)
+    estimate_channel(Z, ShotPlan.with_derived_cutoff(1.0, 0.01, shots, seed=17))
+    assert indices == list(range(math.ceil(shots / 4096)))
+
+
+def test_gaussian_chunks_draw_from_distinct_streams():
+    # a reused or shifted stream would repeat values across the two chunks
+    _, ledger = estimate_channel(Z, ShotPlan.with_derived_cutoff(1.0, 0.01, 2 * 4096, seed=18))
+    first, second = ledger.per_shot_times[:4096], ledger.per_shot_times[4096:]
+    assert np.intersect1d(first, second).size == 0
+
+
+def folded_truncated_normal_ks(costs, t: float, s_cut: float) -> float:
+    """KS statistic of |s| against F(x) = erf(x / sqrt(2t)) / erf(S / sqrt(2t)) on [0, S]."""
+    n = len(costs)
+    scale = math.sqrt(2.0 * t)
+    cdf = np.array([math.erf(x / scale) for x in np.sort(costs)]) / math.erf(s_cut / scale)
+    grid = np.arange(1, n + 1) / n
+    return max(np.abs(grid - cdf).max(), np.abs(cdf - (grid - 1.0 / n)).max())
+
+
+# the estimator's own draws over four chunks; sqrt(n) KS > 2 has probability
+# about 2 exp(-8) = 7e-4 under the null
+@pytest.mark.parametrize("t,s_cut", [(1.0, cutoff(1.0, 0.01)),   # derived cutoff, normal proposal
+                                     (4.0, 1.5)])                # S <= sqrt(t), uniform proposal
+def test_estimate_channel_costs_follow_folded_truncated_normal(t, s_cut):
+    n = 3 * 4096 + 5
+    _, ledger = estimate_channel(Z, ShotPlan(t=t, epsilon=0.01, cutoff=s_cut, shots=n, seed=19))
+    assert folded_truncated_normal_ks(ledger.per_shot_times, t, s_cut) <= 2.0 / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +502,7 @@ def test_compound_kick_count_is_poisson():
         compound_poisson_kicks(2.0 * MAX_SAMPLED_RATE, Dirac(1.0), rng)
 
 
-def test_estimate_compound_channel_above_inversion_cap():
+def test_estimate_compound_channel_at_rate_1000():
     t, shots = 1000.0, 200
     emp, ledger = estimate_compound_channel(Z, Dirac(math.pi), t, shots, seed=8)
     assert np.abs(emp.multiplier - 1.0).max() <= 1e-9
