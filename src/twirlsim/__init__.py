@@ -27,7 +27,6 @@ from .channels import (
     partial_trace_output,
     plus_state,
     random_density_matrix,
-    state_trace_distance,
     superoperator_of_schur,
     superoperator_of_unitary,
 )
@@ -43,7 +42,6 @@ from .cvqpe import (
     outcome_sigma,
     resolve_spectrum,
     sample_k,
-    sample_k_mixture,
 )
 from .distributions import (
     CompoundPoisson,
@@ -55,7 +53,6 @@ from .distributions import (
     TruncatedGaussian,
     char_minus,
     levy_psi,
-    mean_abs,
     sample_law,
     scale_triplet,
 )
@@ -88,7 +85,6 @@ from .sampling import (
     estimate_channel,
     estimate_compound_channel,
     mean_sampled_cost,
-    sample_compound_poisson,
     sample_truncated_normal,
     scaling_table,
     tv_bound,
@@ -96,12 +92,10 @@ from .sampling import (
 )
 from .twirling import (
     commuting_generator_oracle,
-    compound_poisson_evolution,
     dissipator_matrix,
     exact_channel,
     gaussian_evolution,
     hs_quadrature_check,
-    levy_evolution,
     schur_multiplier_for,
     sequential_choi_commuting,
     vectorized_oracle,

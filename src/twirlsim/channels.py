@@ -36,17 +36,18 @@ class CPTPWarning(UserWarning):
 # density matrices
 # ---------------------------------------------------------------------------
 
-def check_density_matrix(rho, atol: float = DENSITY_ATOL) -> None:
-    """Raise ValueError unless rho is Hermitian, unit trace and PSD within atol."""
+def check_density_matrix(rho) -> None:
+    """Raise ValueError unless rho is Hermitian, unit trace and PSD within DENSITY_ATOL."""
     m = require_square(rho)
     defect = hermiticity_defect(m)
-    if defect > atol:
+    if defect > DENSITY_ATOL:
         raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
     tr = m.trace()
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"density matrix trace {tr} differs from 1 by more than {atol:.1e}")
+    if abs(tr - 1.0) > DENSITY_ATOL:
+        raise ValueError(f"density matrix trace {tr} differs from 1 "
+                         f"by more than {DENSITY_ATOL:.1e}")
     min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-    if min_eig < -atol:
+    if min_eig < -DENSITY_ATOL:
         raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
 
 
@@ -125,19 +126,19 @@ def _multiplier_of(m) -> np.ndarray:
     return require_square(m)
 
 
-def cptp_check(m, cp_tol: float = CP_EIG_TOL, tp_tol: float = TP_DIAG_TOL) -> CPTPReport:
+def cptp_check(m) -> CPTPReport:
     """Complete positivity and trace preservation of an entrywise multiplier.
 
     CP holds iff the multiplier matrix is PSD; TP holds iff its diagonal is
     all ones. The minimum eigenvalue is taken of the Hermitian part, and a
-    symmetry defect beyond |cp_tol| also disqualifies CP.
+    symmetry defect beyond |CP_EIG_TOL| also disqualifies CP.
     """
     mat = _multiplier_of(m)
     defect = hermiticity_defect(mat)
     min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
     max_diag = float(np.abs(np.diag(mat) - 1.0).max())
-    is_cp = min_eig >= cp_tol and defect <= abs(cp_tol)
-    return CPTPReport(is_cp=is_cp, is_tp=max_diag <= tp_tol,
+    is_cp = min_eig >= CP_EIG_TOL and defect <= abs(CP_EIG_TOL)
+    return CPTPReport(is_cp=is_cp, is_tp=max_diag <= TP_DIAG_TOL,
                       min_eigenvalue=min_eig, max_diag_deviation=max_diag)
 
 
@@ -252,11 +253,11 @@ class ChoiReport:
     tp_deviation: float
 
 
-def check_choi(choi, d: int, psd_tol: float = CP_EIG_TOL, tp_atol: float = 1e-8) -> ChoiReport:
+def check_choi(choi, d: int) -> ChoiReport:
     j = as_complex_matrix(choi)
     min_eig = float(np.linalg.eigvalsh((j + j.conj().T) / 2.0).min())
     tp_dev = float(np.abs(partial_trace_output(j, d) - np.eye(d)).max())
-    return ChoiReport(is_psd=min_eig >= psd_tol, min_eigenvalue=min_eig,
+    return ChoiReport(is_psd=min_eig >= CP_EIG_TOL, min_eigenvalue=min_eig,
                       trace=complex(j.trace()), tp_deviation=tp_dev)
 
 
@@ -268,6 +269,3 @@ def choi_trace_distance(a, b) -> float:
     """
     return trace_norm(as_complex_matrix(a) - as_complex_matrix(b))
 
-
-def state_trace_distance(a, b) -> float:
-    return 0.5 * trace_norm(as_complex_matrix(a) - as_complex_matrix(b))

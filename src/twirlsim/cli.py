@@ -28,6 +28,9 @@ from .errors import ConfigError
 from .linalg import trace_norm
 from .matio import format_float, write_matrix
 from .sampling import (
+    MAX_SAMPLED_KICKS,
+    MAX_SAMPLED_RATE,
+    MAX_SHOTS,
     ShotPlan,
     cutoff,
     estimate_channel,
@@ -43,7 +46,6 @@ METRICS_HEADER = ["mode", "t", "epsilon", "S", "shots", "total_sim_time",
                   "choi_distance_to_exact", "tv_bound", "wall_seconds"]
 BENCH_HEADER = ["t", "epsilon", "S", "S_over_sqrt_t", "mean_abs_s"]
 QPE_HEADER = ["index", "estimate", "stderr", "raw_mean", "ci5_low", "ci5_high"]
-MAX_BENCH_DRAWS = 10 ** 7  # bench holds a few float64 arrays of --draws entries
 MAX_VERIFY_DIM = 32  # verify eigendecomposes a d^2 x d^2 matrix at each --dims entry
 
 
@@ -93,6 +95,12 @@ def cmd_simulate(args) -> int:
             empirical, ledger = estimate_channel(cfg.hamiltonian, plan)
             mode, s_cut, tv = "sampled_gaussian", law.cutoff, tv_bound(cfg.t, law.cutoff)
         elif isinstance(law, CompoundPoisson):
+            # a rate above MAX_SAMPLED_RATE is refused by the sampler's first shot
+            kicks = cfg.shots * cfg.t
+            if cfg.t <= MAX_SAMPLED_RATE and kicks > MAX_SAMPLED_KICKS:
+                raise ConfigError("sampler.shots",
+                                  f"{cfg.shots} shots at rate {cfg.t:g} draw about {kicks:.3g} "
+                                  f"kicks; at most {MAX_SAMPLED_KICKS:.0e} are allowed")
             empirical, ledger = estimate_compound_channel(
                 cfg.hamiltonian, law.base, cfg.t, cfg.shots, cfg.seed)
             mode, s_cut, tv = "sampled_compound", None, None
@@ -131,8 +139,8 @@ def cmd_bench(args) -> int:
                     "a finite number > 0")
     epsilons = _flag_list(args.epsilons, "--epsilons", float, lambda e: 0.0 < e < 1.0,
                           "a number in (0, 1)")
-    if not 1 <= args.draws <= MAX_BENCH_DRAWS:
-        raise ConfigError("--draws", f"must be in [1, {MAX_BENCH_DRAWS}], got {args.draws}")
+    if not 1 <= args.draws <= MAX_SHOTS:
+        raise ConfigError("--draws", f"must be in [1, {MAX_SHOTS}], got {args.draws}")
     rows = []
     for eps in epsilons:
         table = scaling_table(ts, eps)

@@ -39,7 +39,7 @@ from .errors import ConfigError, DistributionError, ParseError
 from .linalg import HermitianOperator
 from .matio import read_matrix
 from .pauli import parse_pauli_sum
-from .sampling import cutoff
+from .sampling import MAX_SHOTS, cutoff
 
 MAX_QUBITS = 10  # a 2^10 x 2^10 complex matrix is 16 MiB
 
@@ -345,6 +345,8 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
         seed = int(overrides["seed"])
     if shots is not None and shots < 1:
         raise ConfigError("sampler.shots", f"must be >= 1, got {shots}")
+    if shots is not None and shots > MAX_SHOTS:
+        raise ConfigError("sampler.shots", f"must be at most {MAX_SHOTS}, got {shots}")
     if shots is not None and seed is None:
         raise ConfigError("sampler.seed", "sampled runs need a seed")
 

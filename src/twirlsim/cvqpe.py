@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_operator
-from .sampling import derived_rng
+from .sampling import QPE_STREAMS, derived_rng
 
 
 @dataclass(frozen=True)
@@ -47,34 +47,13 @@ def sample_k(lambda0: float, t: float, rng: np.random.Generator, size: int | Non
     return rng.normal(-float(lambda0), sigma, size=size)
 
 
-def sample_k_mixture(h, psi0, t: float, rng: np.random.Generator,
-                     size: int | None = None):
-    """Outcomes for a general pure input state (derived extension).
-
-    The eigenstate case above is the contract; for a superposition the
-    outcome law extends to the overlap-weighted mixture of the per-eigenvalue
-    Gaussians, with weights |<j|psi0>|^2. Provided separately so the
-    extension is always an explicit opt-in.
-    """
-    op = as_operator(h)
-    amp = op.eigenvectors.conj().T @ np.asarray(psi0, dtype=np.complex128).reshape(-1)
-    weights = np.abs(amp) ** 2
-    total = weights.sum()
-    if not np.isclose(total, 1.0, atol=1e-8):
-        raise ValueError(f"input state norm {math.sqrt(total):.6f} is not 1")
-    weights = weights / total
-    n = 1 if size is None else int(size)
-    idx = rng.choice(op.dim, size=n, p=weights)
-    out = rng.normal(-op.eigenvalues[idx], outcome_sigma(t))
-    return float(out[0]) if size is None else out
-
-
 def estimate_lambda(h, eigen_index: int, t: float, shots: int, seed: int) -> QpeRun:
     """Estimate one eigenvalue of h from shots outcomes.
 
     shots must be at least 2 (the standard error needs an unbiased sample
-    variance). The stream is derived from (seed, eigen_index), so per-index
-    runs are independent and reproducible.
+    variance). The stream is derived from (seed, QPE_STREAMS + eigen_index),
+    so per-index runs are independent and reproducible, and share no draw
+    with a sampled channel under the same seed.
     """
     op = as_operator(h)
     if not 0 <= eigen_index < op.dim:
@@ -83,7 +62,7 @@ def estimate_lambda(h, eigen_index: int, t: float, shots: int, seed: int) -> Qpe
     if shots < 2:
         raise ValueError(f"need at least 2 shots for a standard error, got {shots}")
     lam = float(op.eigenvalues[eigen_index])
-    rng = derived_rng(seed, eigen_index)
+    rng = derived_rng(seed, QPE_STREAMS + eigen_index)
     samples = np.asarray(sample_k(lam, t, rng, size=shots))
     estimate = float(-samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(shots))

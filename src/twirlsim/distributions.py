@@ -299,23 +299,3 @@ def _(dist: FiniteMixture, rng: np.random.Generator, size=None):
     idx = rng.choice(len(locations), size=size, p=probs)
     return locations[idx]
 
-
-@singledispatch
-def mean_abs(dist) -> float:
-    """E|s| where it has a simple closed form."""
-    raise TypeError(f"no mean_abs for {type(dist).__name__}")
-
-
-@mean_abs.register
-def _(dist: Gaussian) -> float:
-    return math.sqrt(2.0 * dist.variance / math.pi)
-
-
-@mean_abs.register
-def _(dist: Dirac) -> float:
-    return abs(dist.location)
-
-
-@mean_abs.register
-def _(dist: FiniteMixture) -> float:
-    return math.fsum(p * abs(s) for s, p in dist.atoms)

@@ -38,17 +38,6 @@ def hermiticity_defect(a) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def require_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    m = require_square(a)
-    scale = max(1.0, float(np.abs(m).max()))
-    defect = hermiticity_defect(m)
-    if defect > rtol * scale:
-        raise HermiticityError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {rtol:.1e} * {scale:.3e}"
-        )
-    return m
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending, real) and orthonormal eigenvector columns."""
@@ -59,10 +48,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
     def function_of(self, values: np.ndarray) -> np.ndarray:
         """Assemble V diag(values) V^dagger for per-eigenvalue values."""
@@ -83,13 +68,18 @@ def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_hermitian(a, rtol: float = HERMITICITY_RTOL) -> SpectralDecomposition:
+def eig_hermitian(a) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix.
 
     Raises ShapeError for non-square input and HermiticityError when the
-    symmetry defect exceeds rtol relative to the largest entry.
+    symmetry defect exceeds HERMITICITY_RTOL relative to the largest entry.
     """
-    m = require_hermitian(a, rtol)
+    m = require_square(a)
+    scale = max(1.0, float(np.abs(m).max()))
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_RTOL * scale:
+        raise HermiticityError(f"matrix is not Hermitian: defect {defect:.3e} "
+                               f"exceeds {HERMITICITY_RTOL:.1e} * {scale:.3e}")
     w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, _canonical_phases(v))
 
@@ -102,7 +92,7 @@ class HermitianOperator:
     """
 
     def __init__(self, matrix):
-        self.matrix = require_hermitian(matrix)
+        self.matrix = as_complex_matrix(matrix)
         self.spectral = eig_hermitian(self.matrix)
 
     @property
@@ -156,11 +146,8 @@ def trace_norm(a) -> float:
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Gaussian Hermitian matrix, optionally rescaled to a target spectral norm."""
+    """Gaussian Hermitian matrix rescaled to spectral norm `scale`."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (a + a.conj().T) / 2.0
-    if scale is not None:
-        norm = np.linalg.norm(h, 2)
-        if norm > 0:
-            h = h * (scale / norm)
-    return h
+    norm = np.linalg.norm(h, 2)
+    return h * (scale / norm) if norm > 0 else h

@@ -15,7 +15,10 @@ draws all its times from one counter-based stream derived from
 (seed, chunk_index); a compound shot draws from a stream derived from
 (seed, shot_index). Chunks are reduced in index order, and per-shot costs
 are totaled with exact summation. Results are therefore bit-identical
-across repeated runs.
+across repeated runs. The other consumers of derived streams (phase
+estimation, the bench table, self-verification) read index blocks that
+start at QPE_STREAMS, BENCH_STREAMS and VERIFY_STREAMS, far above any shot
+or chunk index, so no two consumers share a stream under one seed.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from .distributions import BaseLaw, CompoundPoisson, sample_law
 from .linalg import as_operator
 
 CHUNK_SHOTS = 4096
+MAX_SHOTS = 10 ** 7  # a sampled run holds a few float64 arrays of one entry per shot
 MAX_SAMPLED_RATE = 1e6  # a sampled compound shot holds about `rate` kicks
+MAX_SAMPLED_KICKS = 10 ** 9  # expected compound kicks over a whole run, shots * rate
+# first derived_rng index of each consumer other than shots and chunks
+QPE_STREAMS = 1 << 62
+BENCH_STREAMS = 2 << 62
+VERIFY_STREAMS = 3 << 62
 _MAX_EPSILON = 4.0  # cutoff is real and positive only for epsilon below 4
 
 
@@ -60,32 +69,35 @@ def cutoff(t: float, epsilon: float) -> float:
     return math.sqrt(2.0 * t * math.log(4.0 / epsilon))
 
 
+def _window(t: float, s_cut: float) -> tuple[float, float]:
+    """(t, S) as floats, both required to be > 0."""
+    t = float(t)
+    s_cut = float(s_cut)
+    if not (t > 0.0 and s_cut > 0.0):
+        raise ValueError(f"need t > 0 and S > 0, got t={t}, S={s_cut}")
+    return t, s_cut
+
+
 def tv_bound(t: float, s_cut: float) -> float:
     """Tail bound sqrt(2/pi) (sqrt(t)/S) exp(-S^2/2t) on the truncation error.
 
     This is the Mill's-ratio bound on the mass outside [-S, S]; the returned
     value is clipped to 1 since a total variation distance cannot exceed 1.
     """
-    t = float(t)
-    s_cut = float(s_cut)
-    if not (t > 0.0 and s_cut > 0.0):
-        raise ValueError(f"need t > 0 and S > 0, got t={t}, S={s_cut}")
+    t, s_cut = _window(t, s_cut)
     value = math.sqrt(2.0 / math.pi) * (math.sqrt(t) / s_cut) * math.exp(-s_cut ** 2 / (2.0 * t))
     return min(value, 1.0)
 
 
 def tv_exact(t: float, s_cut: float) -> float:
     """Exact truncation error: the N(0, t) mass outside [-S, S], erfc(S / sqrt(2t))."""
-    t = float(t)
-    s_cut = float(s_cut)
-    if not (t > 0.0 and s_cut > 0.0):
-        raise ValueError(f"need t > 0 and S > 0, got t={t}, S={s_cut}")
+    t, s_cut = _window(t, s_cut)
     return math.erfc(s_cut / math.sqrt(2.0 * t))
 
 
 def sample_truncated_normal(t: float, s_cut: float, rng: np.random.Generator,
-                            size: int | None = None):
-    """Rejection sampling of N(0, t) conditioned on [-S, S].
+                            size: int) -> np.ndarray:
+    """`size` draws of N(0, t) conditioned on [-S, S], by rejection sampling.
 
     For S > sqrt(t) the proposal is the untruncated normal, accepted inside
     the window, so the acceptance rate is the window mass, above 0.68 (at the
@@ -94,10 +106,7 @@ def sample_truncated_normal(t: float, s_cut: float, rng: np.random.Generator,
     exp(-s^2 / 2t) >= exp(-1/2), so a narrow window cannot stall the loop.
     Every returned value satisfies |s| <= S.
     """
-    t = float(t)
-    s_cut = float(s_cut)
-    if not (t > 0.0 and s_cut > 0.0):
-        raise ValueError(f"need t > 0 and S > 0, got t={t}, S={s_cut}")
+    t, s_cut = _window(t, s_cut)
     sigma = math.sqrt(t)
     if s_cut > sigma:
         def propose(n):
@@ -107,11 +116,6 @@ def sample_truncated_normal(t: float, s_cut: float, rng: np.random.Generator,
         def propose(n):
             s = rng.uniform(-s_cut, s_cut, size=n)
             return s, rng.random(size=n) <= np.exp(-0.5 * s * s / t)
-    if size is None:
-        while True:
-            s, accepted = propose(None)
-            if accepted:
-                return float(s)
     out, accepted = propose(size)
     while not accepted.all():
         rejected = ~accepted
@@ -212,13 +216,6 @@ def compound_poisson_kicks(rate_time: float, base: BaseLaw,
     return np.asarray(sample_law(base, rng, size=n), dtype=np.float64)
 
 
-def sample_compound_poisson(rate_time: float, base: BaseLaw,
-                            rng: np.random.Generator) -> float:
-    """Total time s = sum of Poisson(rate_time)-many draws from the base law."""
-    CompoundPoisson(rate=rate_time, base=base)  # validates rate and base
-    return float(compound_poisson_kicks(rate_time, base, rng).sum())
-
-
 def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
                               seed: int) -> tuple[SchurMultiplier, CostLedger]:
     """Estimate the compound Poisson twirl at time t from sampled total kicks.
@@ -262,7 +259,7 @@ def scaling_table(ts, epsilon: float) -> list[tuple[float, float, float]]:
 
 
 def mean_sampled_cost(t: float, epsilon: float, draws: int, seed: int) -> float:
-    """Mean |s| over draws from the truncated law (one derived stream)."""
-    rng = derived_rng(seed, 0)
+    """Mean |s| over draws from the truncated law (the stream BENCH_STREAMS)."""
+    rng = derived_rng(seed, BENCH_STREAMS)
     samples = sample_truncated_normal(t, cutoff(t, epsilon), rng, size=int(draws))
     return float(np.abs(samples).mean())

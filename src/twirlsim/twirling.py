@@ -11,23 +11,17 @@ for cross-checking.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .channels import SchurMultiplier
-from .distributions import (
-    BaseLaw,
-    CompoundPoisson,
-    DistributionSpec,
-    Gaussian,
-    LevyTriplet,
-    char_minus,
-    scale_triplet,
-)
+from .distributions import DistributionSpec, Gaussian, char_minus
 from .errors import CommutationError
 from .linalg import as_operator, kron, require_square, unvec, vec
+
+COMMUTATION_TOL = 1e-10  # spectral norm of a commutator taken as zero
+HS_QUADRATURE_NODES = 64
 
 
 def schur_multiplier_for(h, dist: DistributionSpec) -> SchurMultiplier:
@@ -52,18 +46,6 @@ def gaussian_evolution(h, rho, t: float) -> np.ndarray:
     """exp(tL) rho for the single-jump generator, via the Gaussian twirl."""
     t = _require_time(t)
     return exact_channel(h, Gaussian(variance=t)).apply(rho)
-
-
-def levy_evolution(h, triplet: LevyTriplet, rho, t: float) -> np.ndarray:
-    """Evolution with multiplier exp(t * psi(gap)), i.e. the time-t triplet law."""
-    t = _require_time(t)
-    return exact_channel(h, scale_triplet(triplet, t)).apply(rho)
-
-
-def compound_poisson_evolution(h, base: BaseLaw, rho, t: float) -> np.ndarray:
-    """Evolution with multiplier exp(t (char_minus(base)(gap) - 1))."""
-    t = _require_time(t)
-    return exact_channel(h, CompoundPoisson(rate=t, base=base)).apply(rho)
 
 
 def dissipator_matrix(h) -> np.ndarray:
@@ -106,12 +88,11 @@ def commuting_generator_oracle(hams, rho, t: float) -> np.ndarray:
     return unvec(out, d)
 
 
-def sequential_choi_commuting(hams, rho, t: float,
-                              commutation_tol: float = 1e-10) -> np.ndarray:
+def sequential_choi_commuting(hams, rho, t: float) -> np.ndarray:
     """Apply the Gaussian twirl for each Hamiltonian in turn.
 
     All pairs must commute (spectral norm of the commutator within
-    commutation_tol); otherwise CommutationError names the offending pair.
+    COMMUTATION_TOL); otherwise CommutationError names the offending pair.
     For commuting jumps the result equals the joint-generator exponential.
     """
     ops = [as_operator(h) for h in hams]
@@ -119,7 +100,7 @@ def sequential_choi_commuting(hams, rho, t: float,
         for b in range(a + 1, len(ops)):
             comm = ops[a].matrix @ ops[b].matrix - ops[b].matrix @ ops[a].matrix
             norm = float(np.linalg.norm(comm, 2))
-            if norm > commutation_tol:
+            if norm > COMMUTATION_TOL:
                 raise CommutationError(a, b, norm)
     out = require_square(rho)
     for op in ops:
@@ -127,7 +108,7 @@ def sequential_choi_commuting(hams, rho, t: float,
     return out
 
 
-def hs_quadrature_check(h, t: float, nodes: int = 64) -> float:
+def hs_quadrature_check(h, t: float) -> float:
     """Largest entrywise deviation of the Gauss-Hermite average of exp(-iHs)
     under the N(0, t) weight from exp(-H^2 t / 2).
 
@@ -138,10 +119,8 @@ def hs_quadrature_check(h, t: float, nodes: int = 64) -> float:
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"time must be > 0, got {t}")
-    if nodes < 16:
-        raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
     op = as_operator(h)
-    x, w = hermgauss(nodes)
+    x, w = hermgauss(HS_QUADRATURE_NODES)
     scale = math.sqrt(2.0 * t)
     acc = np.zeros((op.dim, op.dim), dtype=np.complex128)
     for xi, wi in zip(x, w):
@@ -150,10 +129,3 @@ def hs_quadrature_check(h, t: float, nodes: int = 64) -> float:
     target = op.spectral.function_of(np.exp(-0.5 * t * op.eigenvalues ** 2))
     return float(np.abs(acc - target).max())
 
-
-def pauli_z_stack(n_qubits: int, position: int) -> np.ndarray:
-    """Z on one qubit of an n-qubit register (convenience for commuting-jump tests)."""
-    z = np.diag([1.0, -1.0]).astype(np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
-    mats = [z if q == position else eye for q in range(n_qubits)]
-    return reduce(np.kron, mats)

@@ -22,9 +22,9 @@ from twirlsim import (
     partial_trace_output,
     plus_state,
     random_density_matrix,
-    state_trace_distance,
     superoperator_of_schur,
     superoperator_of_unitary,
+    trace_norm,
     vec,
 )
 
@@ -133,8 +133,8 @@ def test_state_trace_distance_dephasing_value():
     # |+><+| against its t=1 dephased image: distance (1 - e^{-2}) / 2
     out = apply_schur(dephasing_multiplier(math.exp(-2.0)), PLUS)
     expected = 0.5 * (1.0 - math.exp(-2.0))
-    assert abs(state_trace_distance(PLUS, out) - expected) < 1e-12
-    assert state_trace_distance(PLUS, PLUS) == 0.0
+    assert abs(0.5 * trace_norm(PLUS - out) - expected) < 1e-12
+    assert 0.5 * trace_norm(PLUS - PLUS) == 0.0
 
 
 def test_superoperator_composition_is_matrix_product():

@@ -17,11 +17,11 @@ from twirlsim import (
     read_matrix,
     write_matrix,
 )
-from twirlsim import pauli
-from twirlsim.cli import MAX_BENCH_DRAWS, MAX_VERIFY_DIM, METRICS_HEADER, main
+from twirlsim import cli, pauli
+from twirlsim.cli import MAX_VERIFY_DIM, METRICS_HEADER, main
 from twirlsim.config import MAX_QUBITS
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
-from twirlsim.sampling import cutoff
+from twirlsim.sampling import MAX_SAMPLED_KICKS, MAX_SHOTS, cutoff
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -311,6 +311,45 @@ def test_simulate_compound_poisson_at_rate_1000(tmp_path):
     assert np.abs(read_matrix(state_path) - plus_state(1)).max() < 1e-9
 
 
+class SamplerReached(Exception):
+    """Raised by the sampler stand-ins: the run got past every input check."""
+
+
+def stand_in_samplers(monkeypatch):
+    def reached(*args, **kwargs):
+        raise SamplerReached
+    for name in ("estimate_channel", "estimate_compound_channel", "resolve_spectrum"):
+        monkeypatch.setattr(cli, name, reached)
+
+
+@pytest.mark.parametrize("command", ["simulate", "qpe"])
+def test_shots_capped_before_any_draw(tmp_path, monkeypatch, capsys, command):
+    stand_in_samplers(monkeypatch)
+    path = write_config(tmp_path, base_config(
+        sampler={"shots": MAX_SHOTS, "seed": 1},
+        outputs={"state": "state.txt", "metrics": "metrics.csv"}))
+    with pytest.raises(SamplerReached):
+        main([command, "--config", path])
+    assert main([command, "--config", path, "--shots", str(MAX_SHOTS + 1)]) == 2
+    assert capsys.readouterr().err.startswith("error: sampler.shots:")
+
+
+def test_compound_kick_total_capped_before_any_draw(tmp_path, monkeypatch, capsys):
+    stand_in_samplers(monkeypatch)
+    rate = 1000
+    cfg = base_config(sampler={"seed": 1},
+                      outputs={"state": "state.txt", "metrics": "metrics.csv"})
+    cfg["evolution"]["t"] = rate
+    cfg["evolution"]["distribution"] = {"kind": "compound_poisson",
+                                        "base": {"kind": "dirac", "location": 1.0}}
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(SamplerReached):
+        main(["simulate", "--config", path, "--shots", str(MAX_SAMPLED_KICKS // rate)])
+    assert main(["simulate", "--config", path,
+                 "--shots", str(MAX_SAMPLED_KICKS // rate + 1)]) == 2
+    assert capsys.readouterr().err.startswith("error: sampler.shots:")
+
+
 def test_simulate_truncated_gaussian_narrow_cutoff_terminates(tmp_path):
     # the window [-1e-7, 1e-7] holds 8e-9 of the N(0, 100) mass
     cfg = base_config(sampler={"shots": 50, "seed": 6})
@@ -470,7 +509,7 @@ def test_qpe_seed_flag_completes_config_with_shots(tmp_path, capsys):
 BAD_FLAGS = [
     (["bench", "--ts", "1", "--draws", "0"], "--draws"),
     (["bench", "--ts", "1", "--draws", "-5"], "--draws"),
-    (["bench", "--ts", "1", "--draws", str(MAX_BENCH_DRAWS + 1)], "--draws"),
+    (["bench", "--ts", "1", "--draws", str(MAX_SHOTS + 1)], "--draws"),
     (["bench", "--ts", "inf", "--draws", "10"], "--ts"),
     (["bench", "--ts", "0", "--draws", "10"], "--ts"),
     (["bench", "--ts", ",", "--draws", "10"], "--ts"),

@@ -9,7 +9,6 @@ from twirlsim import (
     outcome_sigma,
     resolve_spectrum,
     sample_k,
-    sample_k_mixture,
 )
 from twirlsim.sampling import derived_rng
 
@@ -85,28 +84,3 @@ def test_stderr_halves_when_t_quadruples():
     expected = outcome_sigma(1.0) / math.sqrt(20_000)
     assert abs(base.stderr - expected) < 0.1 * expected
 
-
-def test_sample_k_mixture_plus_state():
-    t, n = 1.0, 300_000
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    rng = derived_rng(23, 0)
-    ks = sample_k_mixture(Z, plus, t, rng, size=n)
-    # equal-weight mixture of N(-1, 1/4) and N(+1, 1/4)
-    assert abs(ks.mean()) < 4.0 / math.sqrt(n)
-    target_var = 0.25 + 1.0
-    assert abs(ks.var() - target_var) < 0.02 * target_var
-    single = sample_k_mixture(Z, plus, t, rng)
-    assert isinstance(single, float)
-
-
-def test_sample_k_mixture_eigenstate_matches_contract():
-    t = 2.0
-    e1 = np.array([0.0, 1.0])
-    ks = sample_k_mixture(Z, e1, t, derived_rng(5, 0), size=100_000)
-    assert abs(ks.mean() - 1.0) < 4.0 * outcome_sigma(t) / math.sqrt(100_000)
-    assert abs(ks.std(ddof=1) - outcome_sigma(t)) < 0.02
-
-
-def test_sample_k_mixture_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        sample_k_mixture(Z, np.array([1.0, 1.0]), 1.0, derived_rng(0, 0))

@@ -16,7 +16,6 @@ from twirlsim import (
     TruncatedGaussian,
     char_minus,
     levy_psi,
-    mean_abs,
     sample_law,
     scale_triplet,
 )
@@ -214,12 +213,6 @@ def test_sample_law_moments():
     ys = sample_law(mix, g, size=200_000)
     assert abs(ys.mean() - (2.0 * 0.25 - 1.0 * 0.75)) < 0.01
     assert set(np.unique(ys)) == {2.0, -1.0}
-
-
-def test_mean_abs():
-    assert abs(mean_abs(Gaussian(variance=1.0)) - math.sqrt(2.0 / math.pi)) < 1e-15
-    assert mean_abs(Dirac(-2.5)) == 2.5
-    assert abs(mean_abs(FiniteMixture(atoms=((2.0, 0.25), (-1.0, 0.75)))) - 1.25) < 1e-15
 
 
 # ---------------------------------------------------------------------------

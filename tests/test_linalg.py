@@ -24,7 +24,7 @@ def test_eigh_ascending_and_reconstruction():
         h = random_hermitian(dim, rng, scale=2.0)
         dec = eig_hermitian(h)
         assert np.all(np.diff(dec.eigenvalues) >= 0)
-        assert np.abs(dec.reconstruct() - h).max() < 1e-10
+        assert np.abs(dec.function_of(dec.eigenvalues) - h).max() < 1e-10
         gram = dec.eigenvectors.conj().T @ dec.eigenvectors
         assert np.abs(gram - np.eye(dim)).max() < 1e-10
 
@@ -51,7 +51,7 @@ def test_eigh_phase_convention():
 def test_eigh_degenerate_identity():
     dec = eig_hermitian(np.eye(3))
     assert np.allclose(dec.eigenvalues, 1.0)
-    assert np.abs(dec.reconstruct() - np.eye(3)).max() < 1e-12
+    assert np.abs(dec.function_of(dec.eigenvalues) - np.eye(3)).max() < 1e-12
 
 
 def test_eigh_rejects_bad_input():

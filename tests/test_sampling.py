@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -25,9 +26,10 @@ from twirlsim import (
     empirical_channel,
     estimate_channel,
     estimate_compound_channel,
+    estimate_lambda,
     exact_channel,
     random_hermitian,
-    sample_compound_poisson,
+    resolve_spectrum,
     sample_truncated_normal,
     scaling_table,
     superoperator_of_schur,
@@ -35,7 +37,7 @@ from twirlsim import (
     tv_exact,
     vec,
 )
-from twirlsim import sampling
+from twirlsim import cvqpe, sampling, verify
 from twirlsim.sampling import MAX_SAMPLED_RATE, compound_poisson_kicks, mean_sampled_cost
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -129,8 +131,6 @@ def test_sample_truncated_normal_respects_window():
     t, s_cut = 1.0, 1.2
     draws = sample_truncated_normal(t, s_cut, rng, size=50_000)
     assert np.abs(draws).max() <= s_cut
-    singles = [sample_truncated_normal(t, s_cut, rng) for _ in range(200)]
-    assert max(abs(s) for s in singles) <= s_cut
 
 
 def truncated_normal_ks(draws, t: float, s_cut: float) -> float:
@@ -176,13 +176,13 @@ class CountingRng:
         return counted
 
 
-@pytest.mark.parametrize("size", [None, 1000])
+@pytest.mark.parametrize("size", [1, 1000])
 def test_sample_truncated_normal_narrow_window_terminates(size):
     # the window holds 8e-9 of the N(0, 100) mass, so a normal proposal would
     # need about 1e8 tries per draw
     t, s_cut = 100.0, 1e-7
-    draws = np.atleast_1d(sample_truncated_normal(t, s_cut, CountingRng(derived_rng(9, 0)), size))
-    assert draws.shape == (1 if size is None else size,)
+    draws = sample_truncated_normal(t, s_cut, CountingRng(derived_rng(9, 0)), size)
+    assert draws.shape == (size,)
     assert np.abs(draws).max() <= s_cut
 
 
@@ -199,9 +199,9 @@ def test_sample_truncated_normal_variance_against_quadrature():
 def test_sample_truncated_normal_domain():
     rng = derived_rng(0, 0)
     with pytest.raises(ValueError):
-        sample_truncated_normal(0.0, 1.0, rng)
+        sample_truncated_normal(0.0, 1.0, rng, size=1)
     with pytest.raises(ValueError):
-        sample_truncated_normal(1.0, 0.0, rng)
+        sample_truncated_normal(1.0, 0.0, rng, size=1)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +342,41 @@ def test_gaussian_chunks_draw_from_distinct_streams():
     assert np.intersect1d(first, second).size == 0
 
 
+def test_bench_and_qpe_share_no_draw_with_chunk_zero():
+    _, ledger = estimate_channel(Z, ShotPlan.with_derived_cutoff(1.0, 0.01, 4096, seed=7))
+    # the bench mean used to equal the ledger mean to the last bit: one stream
+    assert mean_sampled_cost(1.0, 0.01, 4096, 7) != ledger.per_shot_times.mean()
+    # eigenvalue 0 outcomes at t = 1/4 are N(0, 1) draws, like chunk 0's proposals
+    qpe = estimate_lambda(np.zeros((1, 1)), 0, t=0.25, shots=4096, seed=7)
+    assert np.intersect1d(np.abs(qpe.samples), ledger.per_shot_times).size == 0
+
+
+def test_stream_consumers_read_disjoint_indices(monkeypatch):
+    indices = []
+
+    def recording(seed, index):
+        indices.append(index)
+        return derived_rng(seed, index)
+
+    for module in (sampling, cvqpe, verify):
+        monkeypatch.setattr(module, "derived_rng", recording)
+
+    def read(run):
+        indices.clear()
+        run()
+        return set(indices)
+
+    shots = (read(lambda: estimate_channel(Z, ShotPlan.with_derived_cutoff(1.0, 0.01, 9000, 7)))
+             | read(lambda: estimate_compound_channel(Z, Dirac(1.0), 1.0, 50, 7)))
+    bench = read(lambda: mean_sampled_cost(1.0, 0.01, 10, 7))
+    qpe = read(lambda: resolve_spectrum(np.diag([0.0, 1.0, 2.0]), 1.0, 10, 7))
+    checks = read(lambda: verify.run_verification(dims=(2,), trials=1, seed=7))
+    assert len(bench) == 1 and len(qpe) == 3 and len(checks) == 5
+    for a, b in itertools.combinations((shots, bench, qpe, checks), 2):
+        assert not a & b
+    assert max(shots | bench | qpe | checks) < 1 << 64
+
+
 def folded_truncated_normal_ks(costs, t: float, s_cut: float) -> float:
     """KS statistic of |s| against F(x) = erf(x / sqrt(2t)) / erf(S / sqrt(2t)) on [0, S]."""
     n = len(costs)
@@ -448,11 +483,11 @@ def test_choi_of_schur_matches_superoperator_route(d, seed):
 def test_sample_compound_poisson_moments():
     rng = derived_rng(29, 0)
     n = 40_000
-    draws = np.array([sample_compound_poisson(2.0, Dirac(0.5), rng) for _ in range(n)])
+    draws = np.array([compound_poisson_kicks(2.0, Dirac(0.5), rng).sum() for _ in range(n)])
     # s = 0.5 N with N ~ Poisson(2): mean 1.0, variance 0.5
     assert abs(draws.mean() - 1.0) < 4.0 * math.sqrt(0.5 / n)
     assert abs(draws.var() - 0.5) < 0.03
-    assert sample_compound_poisson(0.0, Dirac(0.5), rng) == 0.0
+    assert compound_poisson_kicks(0.0, Dirac(0.5), rng).sum() == 0.0
 
 
 def test_estimate_compound_channel_dirac_pi_identity():

@@ -14,17 +14,16 @@ from twirlsim import (
     TruncatedGaussian,
     char_minus,
     commuting_generator_oracle,
-    compound_poisson_evolution,
     cptp_check,
     dissipator_matrix,
     exact_channel,
     gaussian_evolution,
     hs_quadrature_check,
     kron,
-    levy_evolution,
     plus_state,
     random_density_matrix,
     random_hermitian,
+    scale_triplet,
     schur_multiplier_for,
     sequential_choi_commuting,
     vectorized_oracle,
@@ -102,7 +101,8 @@ def test_levy_pure_drift_is_conjugation():
     gamma, t = 0.8, 1.3
     op = HermitianOperator(random_hermitian(3, rng))
     rho = random_density_matrix(3, rng)
-    out = levy_evolution(op, LevyTriplet(sigma2=0.0, gamma=gamma, atoms=()), rho, t)
+    trip = LevyTriplet(sigma2=0.0, gamma=gamma, atoms=())
+    out = exact_channel(op, scale_triplet(trip, t)).apply(rho)
     u = op.unitary_at(gamma * t)
     assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12
     dirac = exact_channel(op, Dirac(gamma * t)).apply(rho)
@@ -112,7 +112,7 @@ def test_levy_pure_drift_is_conjugation():
 def test_levy_two_pi_atom_on_z_is_identity():
     trip = LevyTriplet(sigma2=0.0, gamma=0.0, atoms=((math.pi, 1.0),))
     rho = random_density_matrix(2, rng)
-    out = levy_evolution(Z, trip, rho, 1.0)
+    out = exact_channel(Z, scale_triplet(trip, 1.0)).apply(rho)
     assert np.abs(out - rho).max() < 1e-12
 
 
@@ -120,12 +120,12 @@ def test_levy_gaussian_part_matches_gaussian_twirl():
     trip = LevyTriplet(sigma2=1.0, gamma=0.0, atoms=())
     h = random_hermitian(3, rng)
     rho = random_density_matrix(3, rng)
-    assert np.abs(levy_evolution(h, trip, rho, 0.7)
+    assert np.abs(exact_channel(h, scale_triplet(trip, 0.7)).apply(rho)
                   - gaussian_evolution(h, rho, 0.7)).max() < 1e-12
 
 
 def test_compound_poisson_evolution_frozen_offdiagonal():
-    out = compound_poisson_evolution(Z, Gaussian(variance=1.0), PLUS, 1.0)
+    out = exact_channel(Z, CompoundPoisson(rate=1.0, base=Gaussian(variance=1.0))).apply(PLUS)
     expected = 0.5 * math.exp(math.exp(-2.0) - 1.0)
     assert abs(out[0, 1] - expected) < 1e-14
     m = exact_channel(Z, CompoundPoisson(rate=1.0, base=Gaussian(1.0))).multiplier
@@ -135,7 +135,7 @@ def test_compound_poisson_evolution_frozen_offdiagonal():
 def test_compound_poisson_evolution_rejects_zero_atom():
     from twirlsim import DistributionError
     with pytest.raises(DistributionError):
-        compound_poisson_evolution(Z, Dirac(0.0), PLUS, 1.0)
+        CompoundPoisson(rate=1.0, base=Dirac(0.0))
 
 
 def test_multiplier_cptp_across_variants():
@@ -152,15 +152,13 @@ def test_multiplier_cptp_across_variants():
 
 
 def test_hs_quadrature_z_and_random():
-    assert hs_quadrature_check(Z, 1.0, nodes=64) < 1e-10
+    assert hs_quadrature_check(Z, 1.0) < 1e-10
     for _ in range(5):
         h = random_hermitian(4, rng, scale=2.0)
         t = float(rng.uniform(0.1, 4.0))
-        assert hs_quadrature_check(h, t, nodes=64) < 1e-8
+        assert hs_quadrature_check(h, t) < 1e-8
     with pytest.raises(ValueError):
         hs_quadrature_check(Z, 0.0)
-    with pytest.raises(ValueError):
-        hs_quadrature_check(Z, 1.0, nodes=8)
 
 
 def test_sequential_commuting_matches_joint_oracle():
