@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .config import RunConfig, load_config_file, parse_config
-from .cvqpe import resolve_spectrum
+from .cvqpe import estimate_lambda, resolve_spectrum
 from .distributions import CompoundPoisson, Gaussian, TruncatedGaussian
 from .errors import ConfigError
 from .linalg import trace_norm
@@ -177,15 +177,15 @@ def cmd_qpe(args) -> int:
                           f"need at least 2 shots for a standard error, got {cfg.shots}")
     if cfg.t <= 0:
         raise ConfigError("evolution.t", f"qpe needs t > 0, got {cfg.t}")
-    runs = resolve_spectrum(cfg.hamiltonian, cfg.t, cfg.shots, cfg.seed)
-    if args.eigen_index is not None:
-        if not 0 <= args.eigen_index < len(runs):
-            raise ConfigError("--eigen-index",
-                              f"index {args.eigen_index} out of range for dimension {len(runs)}")
-        runs = [runs[args.eigen_index]]
+    k = args.eigen_index
+    if k is None:
+        runs = enumerate(resolve_spectrum(cfg.hamiltonian, cfg.t, cfg.shots, cfg.seed))
+    elif 0 <= k < cfg.dim:
+        runs = [(k, estimate_lambda(cfg.hamiltonian, k, cfg.t, cfg.shots, cfg.seed))]
+    else:
+        raise ConfigError("--eigen-index", f"index {k} out of range for dimension {cfg.dim}")
     rows = []
-    for idx, run in enumerate(runs):
-        index = args.eigen_index if args.eigen_index is not None else idx
+    for index, run in runs:
         low = run.estimate - 5 * run.stderr
         high = run.estimate + 5 * run.stderr
         rows.append([index, run.estimate, run.stderr, run.raw_mean, low, high])

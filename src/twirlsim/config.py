@@ -35,7 +35,7 @@ from .distributions import (
     TruncatedGaussian,
     scale_triplet,
 )
-from .errors import ConfigError, DistributionError, ParseError
+from .errors import ConfigError, DistributionError, HermiticityError, ParseError
 from .linalg import HermitianOperator
 from .matio import read_matrix
 from .pauli import parse_pauli_sum
@@ -228,12 +228,12 @@ def _build_hamiltonian(node, dim: int, qubits: int | None, base_dir: str) -> Her
     path = _resolve_input_path(node["matrix_file"], "hamiltonian.matrix_file", base_dir)
     try:
         mat = read_matrix(path)
-    except ParseError as exc:
+        if mat.shape != (dim, dim):
+            raise ConfigError("hamiltonian.matrix_file", f"matrix is {mat.shape[0]} x "
+                              f"{mat.shape[1]}, expected {dim} x {dim}")
+        return HermitianOperator(mat)
+    except (ParseError, HermiticityError) as exc:
         raise ConfigError("hamiltonian.matrix_file", f"{path}: {exc}") from None
-    if mat.shape != (dim, dim):
-        raise ConfigError("hamiltonian.matrix_file",
-                          f"matrix is {mat.shape[0]} x {mat.shape[1]}, expected {dim} x {dim}")
-    return HermitianOperator(mat)
 
 
 def _build_initial_state(node, dim: int, base_dir: str) -> np.ndarray:

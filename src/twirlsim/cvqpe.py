@@ -5,6 +5,8 @@ conjugate-basis measurement outcome is distributed as N(-lambda0, 1/(4t)):
 longer coupling sharpens the peak. The eigenvalue estimate is minus the
 sample mean; its standard error is the sample standard deviation over
 sqrt(shots), so quadrupling t halves the standard error at fixed shots.
+A run keeps these two statistics, not its outcomes, so resolving a whole
+spectrum holds one eigenvalue's shots at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ class QpeRun:
 
     t: float
     true_lambda: float
-    samples: np.ndarray
     estimate: float
     stderr: float
 
@@ -41,7 +42,7 @@ def outcome_sigma(t: float) -> float:
     return 0.5 / math.sqrt(t)
 
 
-def sample_k(lambda0: float, t: float, rng: np.random.Generator, size: int | None = None):
+def sample_k(lambda0: float, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Measurement outcomes k ~ N(-lambda0, 1/(4t))."""
     sigma = outcome_sigma(t)
     return rng.normal(-float(lambda0), sigma, size=size)
@@ -63,11 +64,10 @@ def estimate_lambda(h, eigen_index: int, t: float, shots: int, seed: int) -> Qpe
         raise ValueError(f"need at least 2 shots for a standard error, got {shots}")
     lam = float(op.eigenvalues[eigen_index])
     rng = derived_rng(seed, QPE_STREAMS + eigen_index)
-    samples = np.asarray(sample_k(lam, t, rng, size=shots))
+    samples = sample_k(lam, t, rng, size=shots)
     estimate = float(-samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(shots))
-    return QpeRun(t=float(t), true_lambda=lam, samples=samples,
-                  estimate=estimate, stderr=stderr)
+    return QpeRun(t=float(t), true_lambda=lam, estimate=estimate, stderr=stderr)
 
 
 def resolve_spectrum(h, t: float, shots: int, seed: int) -> list[QpeRun]:

@@ -274,25 +274,23 @@ def _(dist: LevyTriplet, omega):
 
 
 @singledispatch
-def sample_law(dist, rng: np.random.Generator, size=None):
+def sample_law(dist, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw from laws that admit direct sampling (base laws of compound sums)."""
     raise TypeError(f"no sampler for {type(dist).__name__}")
 
 
 @sample_law.register
-def _(dist: Gaussian, rng: np.random.Generator, size=None):
+def _(dist: Gaussian, rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(dist.variance), size=size)
 
 
 @sample_law.register
-def _(dist: Dirac, rng: np.random.Generator, size=None):
-    if size is None:
-        return dist.location
+def _(dist: Dirac, rng: np.random.Generator, size: int) -> np.ndarray:
     return np.full(size, dist.location)
 
 
 @sample_law.register
-def _(dist: FiniteMixture, rng: np.random.Generator, size=None):
+def _(dist: FiniteMixture, rng: np.random.Generator, size: int) -> np.ndarray:
     locations = np.array([s for s, _ in dist.atoms])
     probs = np.array([p for _, p in dist.atoms])
     probs = probs / probs.sum()

@@ -11,6 +11,7 @@ for cross-checking.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -22,6 +23,7 @@ from .linalg import as_operator, kron, require_square, unvec, vec
 
 COMMUTATION_TOL = 1e-10  # spectral norm of a commutator taken as zero
 HS_QUADRATURE_NODES = 64
+_hermite_rule = cache(hermgauss)  # nodes and weights, built once per node count
 
 
 def schur_multiplier_for(h, dist: DistributionSpec) -> SchurMultiplier:
@@ -120,7 +122,7 @@ def hs_quadrature_check(h, t: float) -> float:
     if not t > 0.0:
         raise ValueError(f"time must be > 0, got {t}")
     op = as_operator(h)
-    x, w = hermgauss(HS_QUADRATURE_NODES)
+    x, w = _hermite_rule(HS_QUADRATURE_NODES)
     scale = math.sqrt(2.0 * t)
     acc = np.zeros((op.dim, op.dim), dtype=np.complex128)
     for xi, wi in zip(x, w):

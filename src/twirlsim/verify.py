@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import cptp_check, random_density_matrix
+from .channels import CP_EIG_TOL, TP_DIAG_TOL, cptp_check, random_density_matrix
 from .distributions import (
     CompoundPoisson,
     Dirac,
@@ -28,8 +28,6 @@ from .twirling import gaussian_evolution, hs_quadrature_check, schur_multiplier_
 ORACLE_TOL = 1e-10
 SEMIGROUP_TOL = 1e-12
 HS_TOL = 1e-8
-CP_TOL = -1e-9
-TP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -116,10 +114,10 @@ def check_cptp(trials: int, seed: int, inject_fault: bool = False) -> CheckResul
                 m[0, 0] = 0.9  # deliberately break trace preservation
             report = cptp_check(m)
             # PSD slack below -1e-9 and any diagonal deviation both count
-            dev = max(max(0.0, CP_TOL - report.min_eigenvalue), report.max_diag_deviation)
+            dev = max(max(0.0, CP_EIG_TOL - report.min_eigenvalue), report.max_diag_deviation)
             worst = max(worst, dev)
             cases += 1
-    return CheckResult("cptp-multipliers", cases, worst, TP_TOL)
+    return CheckResult("cptp-multipliers", cases, worst, TP_DIAG_TOL)
 
 
 def check_hs_quadrature(trials: int, seed: int) -> CheckResult:

@@ -266,7 +266,8 @@ def test_criterion_10_cvqpe_readout():
     _cache["c10"] = metrics
 
     est_ok = all(abs(r.estimate - r.true_lambda) <= 0.025 for r in runs_t1)
-    pooled_var = float(np.mean([r.samples.var(ddof=1) for r in runs_t1]))
+    # stderr = sqrt(var / shots) with the 10_000 shots of _qpe_runs
+    pooled_var = float(np.mean([10_000 * r.stderr ** 2 for r in runs_t1]))
     var_ok = abs(pooled_var - 0.25) <= 0.1 * 0.25
     halving_ok = all(abs(r4.stderr / r1.stderr - 0.5) <= 0.05 * 0.5
                      for r1, r4 in zip(runs_t1, runs_t4))

@@ -129,7 +129,7 @@ def test_identity_vs_dephasing_choi_distance_is_two():
     assert abs(choi_trace_distance(identity, dephased) - 2.0) < 1e-12
 
 
-def test_state_trace_distance_dephasing_value():
+def test_trace_norm_dephasing_value():
     # |+><+| against its t=1 dephased image: distance (1 - e^{-2}) / 2
     out = apply_schur(dephasing_multiplier(math.exp(-2.0)), PLUS)
     expected = 0.5 * (1.0 - math.exp(-2.0))

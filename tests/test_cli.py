@@ -17,11 +17,11 @@ from twirlsim import (
     read_matrix,
     write_matrix,
 )
-from twirlsim import cli, pauli
+from twirlsim import cli, cvqpe, pauli
 from twirlsim.cli import MAX_VERIFY_DIM, METRICS_HEADER, main
 from twirlsim.config import MAX_QUBITS
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
-from twirlsim.sampling import MAX_SAMPLED_KICKS, MAX_SHOTS, cutoff
+from twirlsim.sampling import MAX_SAMPLED_KICKS, MAX_SHOTS, QPE_STREAMS, cutoff, derived_rng
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -405,6 +405,13 @@ def test_simulate_rejects_non_finite_matrix_entry(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: hamiltonian.matrix_file:")
 
 
+def test_simulate_rejects_non_hermitian_matrix_file(tmp_path, capsys):
+    (tmp_path / "h.txt").write_text("2 2\n1+0j 2+0j\n0+0j 1+0j\n")
+    code, _, _ = run_simulate(tmp_path, base_config(hamiltonian={"matrix_file": "h.txt"}))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: hamiltonian.matrix_file:")
+
+
 def test_simulate_rejects_json_nan_token(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(base_config()).replace('"epsilon": 0.01', '"epsilon": NaN'))
@@ -543,3 +550,33 @@ def test_qpe_single_index_and_validation(tmp_path, capsys):
                  "--eigen-index", "7"]) == 2
     assert main(["qpe", "--config", path, "--shots", "100"]) == 2
     capsys.readouterr()
+
+
+def test_qpe_eigen_index_draws_only_its_own_stream(tmp_path, capsys, monkeypatch):
+    indices = []
+
+    def recording(seed, index):
+        indices.append(index)
+        return derived_rng(seed, index)
+
+    monkeypatch.setattr(cvqpe, "derived_rng", recording)
+    path = write_config(tmp_path, base_config(
+        system={"qubits": 2}, hamiltonian={"pauli": ["1.0 ZI", "0.5 IZ", "0.3 XX"]},
+        sampler={"shots": 3000, "seed": 6}))
+    full_csv = tmp_path / "full.csv"
+    assert main(["qpe", "--config", path, "--csv-out", str(full_csv)]) == 0
+    full_out = capsys.readouterr().out.splitlines()
+    full_rows = full_csv.read_bytes().splitlines(keepends=True)
+    assert sorted(indices) == [QPE_STREAMS + k for k in range(4)]
+    for k in range(4):
+        indices.clear()
+        one_csv = tmp_path / f"one{k}.csv"
+        assert main(["qpe", "--config", path, "--eigen-index", str(k),
+                     "--csv-out", str(one_csv)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == full_out[k]
+        assert one_csv.read_bytes().splitlines(keepends=True) == [full_rows[0], full_rows[k + 1]]
+        assert indices == [QPE_STREAMS + k]
+    indices.clear()
+    assert main(["qpe", "--config", path, "--eigen-index", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: --eigen-index:")
+    assert indices == []

@@ -30,6 +30,7 @@ from twirlsim import (
     exact_channel,
     random_hermitian,
     resolve_spectrum,
+    sample_k,
     sample_truncated_normal,
     scaling_table,
     superoperator_of_schur,
@@ -38,7 +39,12 @@ from twirlsim import (
     vec,
 )
 from twirlsim import cvqpe, sampling, verify
-from twirlsim.sampling import MAX_SAMPLED_RATE, compound_poisson_kicks, mean_sampled_cost
+from twirlsim.sampling import (
+    MAX_SAMPLED_RATE,
+    QPE_STREAMS,
+    compound_poisson_kicks,
+    mean_sampled_cost,
+)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -347,8 +353,10 @@ def test_bench_and_qpe_share_no_draw_with_chunk_zero():
     # the bench mean used to equal the ledger mean to the last bit: one stream
     assert mean_sampled_cost(1.0, 0.01, 4096, 7) != ledger.per_shot_times.mean()
     # eigenvalue 0 outcomes at t = 1/4 are N(0, 1) draws, like chunk 0's proposals
+    outcomes = sample_k(0.0, 0.25, derived_rng(7, QPE_STREAMS), size=4096)
+    assert np.intersect1d(np.abs(outcomes), ledger.per_shot_times).size == 0
     qpe = estimate_lambda(np.zeros((1, 1)), 0, t=0.25, shots=4096, seed=7)
-    assert np.intersect1d(np.abs(qpe.samples), ledger.per_shot_times).size == 0
+    assert qpe.estimate == -outcomes.mean()
 
 
 def test_stream_consumers_read_disjoint_indices(monkeypatch):
@@ -480,7 +488,7 @@ def test_choi_of_schur_matches_superoperator_route(d, seed):
 # compound Poisson sampling
 # ---------------------------------------------------------------------------
 
-def test_sample_compound_poisson_moments():
+def test_compound_poisson_kicks_moments():
     rng = derived_rng(29, 0)
     n = 40_000
     draws = np.array([compound_poisson_kicks(2.0, Dirac(0.5), rng).sum() for _ in range(n)])

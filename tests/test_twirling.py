@@ -124,7 +124,7 @@ def test_levy_gaussian_part_matches_gaussian_twirl():
                   - gaussian_evolution(h, rho, 0.7)).max() < 1e-12
 
 
-def test_compound_poisson_evolution_frozen_offdiagonal():
+def test_exact_channel_compound_poisson_frozen_offdiagonal():
     out = exact_channel(Z, CompoundPoisson(rate=1.0, base=Gaussian(variance=1.0))).apply(PLUS)
     expected = 0.5 * math.exp(math.exp(-2.0) - 1.0)
     assert abs(out[0, 1] - expected) < 1e-14
@@ -132,7 +132,7 @@ def test_compound_poisson_evolution_frozen_offdiagonal():
     assert abs(m[0, 1] - 0.42119274782353533) < 1e-15
 
 
-def test_compound_poisson_evolution_rejects_zero_atom():
+def test_compound_poisson_rejects_zero_atom():
     from twirlsim import DistributionError
     with pytest.raises(DistributionError):
         CompoundPoisson(rate=1.0, base=Dirac(0.0))
