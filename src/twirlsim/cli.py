@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .linalg import trace_norm
 from .matio import format_float, write_matrix
 from .sampling import (
-    MAX_SAMPLED_KICKS,
+    MAX_RUN_DRAWS,
     MAX_SAMPLED_RATE,
     MAX_SHOTS,
     ShotPlan,
@@ -97,10 +97,10 @@ def cmd_simulate(args) -> int:
         elif isinstance(law, CompoundPoisson):
             # a rate above MAX_SAMPLED_RATE is refused by the sampler's first shot
             kicks = cfg.shots * cfg.t
-            if cfg.t <= MAX_SAMPLED_RATE and kicks > MAX_SAMPLED_KICKS:
+            if cfg.t <= MAX_SAMPLED_RATE and kicks > MAX_RUN_DRAWS:
                 raise ConfigError("sampler.shots",
                                   f"{cfg.shots} shots at rate {cfg.t:g} draw about {kicks:.3g} "
-                                  f"kicks; at most {MAX_SAMPLED_KICKS:.0e} are allowed")
+                                  f"kicks; at most {MAX_RUN_DRAWS:.0e} are allowed")
             empirical, ledger = estimate_compound_channel(
                 cfg.hamiltonian, law.base, cfg.t, cfg.shots, cfg.seed)
             mode, s_cut, tv = "sampled_compound", None, None
@@ -179,6 +179,12 @@ def cmd_qpe(args) -> int:
         raise ConfigError("evolution.t", f"qpe needs t > 0, got {cfg.t}")
     k = args.eigen_index
     if k is None:
+        outcomes = cfg.dim * cfg.shots
+        if outcomes > MAX_RUN_DRAWS:
+            raise ConfigError("sampler.shots",
+                              f"{cfg.shots} shots for each of {cfg.dim} eigenvalues draw "
+                              f"{outcomes} outcomes; at most {MAX_RUN_DRAWS:.0e} are allowed "
+                              "(--eigen-index draws one eigenvalue's)")
         runs = enumerate(resolve_spectrum(cfg.hamiltonian, cfg.t, cfg.shots, cfg.seed))
     elif 0 <= k < cfg.dim:
         runs = [(k, estimate_lambda(cfg.hamiltonian, k, cfg.t, cfg.shots, cfg.seed))]

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channels import SchurMultiplier
 from .distributions import BaseLaw, CompoundPoisson, sample_law
@@ -35,23 +36,48 @@ from .linalg import as_operator
 CHUNK_SHOTS = 4096
 MAX_SHOTS = 10 ** 7  # a sampled run holds a few float64 arrays of one entry per shot
 MAX_SAMPLED_RATE = 1e6  # a sampled compound shot holds about `rate` kicks
-MAX_SAMPLED_KICKS = 10 ** 9  # expected compound kicks over a whole run, shots * rate
+# random draws over a whole run: compound kicks (shots * rate) or qpe outcomes (dim * shots)
+MAX_RUN_DRAWS = 10 ** 9
 # first derived_rng index of each consumer other than shots and chunks
 QPE_STREAMS = 1 << 62
 BENCH_STREAMS = 2 << 62
 VERIFY_STREAMS = 3 << 62
+_STREAM_INDICES = 1 << 64  # stream indices, and seeds mod this, are one uint64 word
 _MAX_EPSILON = 4.0  # cutoff is real and positive only for epsilon below 4
+
+
+class _PhiloxKey(ISeedSequence):
+    """Seed sequence that hands Philox one fixed 128-bit key, [key, 0], as is.
+
+    Philox(key=...) would first build a SeedSequence from OS entropy and
+    then overwrite it; this supplies the key words directly instead.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, key: int):
+        self._words = np.array([key, 0], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, asked for {n_words} {dtype}")
+        return self._words
 
 
 def derived_rng(seed: int, index: int) -> np.random.Generator:
     """Independent reproducible stream number `index` under a 64-bit seed.
 
-    Uses a counter-based generator: the key is the seed, the counter starts
-    at a disjoint 2^192-sized block per index, so streams never overlap and
-    can be created in any order.
+    Uses a counter-based generator: the key is the seed mod 2^64, the counter
+    starts at a disjoint 2^192-sized block per index, so streams never
+    overlap and can be created in any order. A stream is a function of
+    (seed, index) alone: no OS entropy is read. index must be in [0, 2^64).
     """
-    key = int(seed) % (1 << 64)
-    return np.random.Generator(np.random.Philox(key=key, counter=int(index) << 192))
+    index = int(index)
+    if not 0 <= index < _STREAM_INDICES:
+        raise ValueError(f"stream index must be in [0, 2**64), got {index}")
+    counter = np.array([0, 0, 0, index], dtype=np.uint64)
+    key = _PhiloxKey(int(seed) % _STREAM_INDICES)
+    return np.random.Generator(np.random.Philox(key, counter=counter))
 
 
 def cutoff(t: float, epsilon: float) -> float:

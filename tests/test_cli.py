@@ -21,7 +21,7 @@ from twirlsim import cli, cvqpe, pauli
 from twirlsim.cli import MAX_VERIFY_DIM, METRICS_HEADER, main
 from twirlsim.config import MAX_QUBITS
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
-from twirlsim.sampling import MAX_SAMPLED_KICKS, MAX_SHOTS, QPE_STREAMS, cutoff, derived_rng
+from twirlsim.sampling import MAX_RUN_DRAWS, MAX_SHOTS, QPE_STREAMS, cutoff, derived_rng
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -318,7 +318,8 @@ class SamplerReached(Exception):
 def stand_in_samplers(monkeypatch):
     def reached(*args, **kwargs):
         raise SamplerReached
-    for name in ("estimate_channel", "estimate_compound_channel", "resolve_spectrum"):
+    for name in ("estimate_channel", "estimate_compound_channel", "resolve_spectrum",
+                 "estimate_lambda"):
         monkeypatch.setattr(cli, name, reached)
 
 
@@ -344,10 +345,28 @@ def test_compound_kick_total_capped_before_any_draw(tmp_path, monkeypatch, capsy
                                         "base": {"kind": "dirac", "location": 1.0}}
     path = write_config(tmp_path, cfg)
     with pytest.raises(SamplerReached):
-        main(["simulate", "--config", path, "--shots", str(MAX_SAMPLED_KICKS // rate)])
+        main(["simulate", "--config", path, "--shots", str(MAX_RUN_DRAWS // rate)])
     assert main(["simulate", "--config", path,
-                 "--shots", str(MAX_SAMPLED_KICKS // rate + 1)]) == 2
+                 "--shots", str(MAX_RUN_DRAWS // rate + 1)]) == 2
     assert capsys.readouterr().err.startswith("error: sampler.shots:")
+
+
+def test_qpe_outcome_total_capped_before_any_draw(tmp_path, monkeypatch, capsys):
+    stand_in_samplers(monkeypatch)
+    qubits = 7
+    dim = 2 ** qubits
+    cfg = base_config(system={"qubits": qubits}, hamiltonian={"pauli": "1.0 ZIIIIII"},
+                      sampler={"seed": 1})
+    path = write_config(tmp_path, cfg)
+    at_limit = MAX_RUN_DRAWS // dim
+    assert at_limit <= MAX_SHOTS
+    with pytest.raises(SamplerReached):
+        main(["qpe", "--config", path, "--shots", str(at_limit)])
+    assert main(["qpe", "--config", path, "--shots", str(at_limit + 1)]) == 2
+    assert capsys.readouterr().err.startswith("error: sampler.shots:")
+    # one eigenvalue draws only its own shots, so the total cap does not apply
+    with pytest.raises(SamplerReached):
+        main(["qpe", "--config", path, "--shots", str(at_limit + 1), "--eigen-index", "5"])
 
 
 def test_simulate_truncated_gaussian_narrow_cutoff_terminates(tmp_path):

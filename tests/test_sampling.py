@@ -3,6 +3,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+import numpy.random.bit_generator as bit_generator
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,8 +41,10 @@ from twirlsim import (
 )
 from twirlsim import cvqpe, sampling, verify
 from twirlsim.sampling import (
+    BENCH_STREAMS,
     MAX_SAMPLED_RATE,
     QPE_STREAMS,
+    VERIFY_STREAMS,
     compound_poisson_kicks,
     mean_sampled_cost,
 )
@@ -402,6 +405,76 @@ def test_estimate_channel_costs_follow_folded_truncated_normal(t, s_cut):
     n = 3 * 4096 + 5
     _, ledger = estimate_channel(Z, ShotPlan(t=t, epsilon=0.01, cutoff=s_cut, shots=n, seed=19))
     assert folded_truncated_normal_ks(ledger.per_shot_times, t, s_cut) <= 2.0 / math.sqrt(n)
+
+
+# ---------------------------------------------------------------------------
+# derived streams against numpy's own Philox(key=..., counter=...) construction
+# ---------------------------------------------------------------------------
+
+def reference_rng(seed: int, index: int) -> np.random.Generator:
+    """Stream (seed, index) built the documented way: key seed mod 2^64, counter index << 192."""
+    return np.random.Generator(np.random.Philox(key=seed % 2 ** 64, counter=index << 192))
+
+
+def draws_of(rng: np.random.Generator) -> list[np.ndarray]:
+    return [rng.normal(size=7), rng.poisson(3.5, size=7), rng.uniform(-2.0, 2.0, size=7),
+            rng.integers(0, 2 ** 62, size=7)]
+
+
+STREAM_SEEDS = [0, 7, -3, 2 ** 63 + 11, 2 ** 64 - 1]
+STREAM_INDICES = [0, 1, 4095, 4096, QPE_STREAMS + 3, BENCH_STREAMS, VERIFY_STREAMS + 5,
+                  2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_derived_rng_matches_reference_philox(seed):
+    for index in STREAM_INDICES:
+        ours, reference = draws_of(derived_rng(seed, index)), draws_of(reference_rng(seed, index))
+        for a, b in zip(ours, reference):
+            assert np.array_equal(a, b), (seed, index)
+
+
+@pytest.mark.parametrize("index", [-1, 2 ** 64])
+def test_derived_rng_rejects_index_outside_one_word(index):
+    with pytest.raises(ValueError):
+        derived_rng(7, index)
+
+
+def test_philox_key_refuses_any_other_state_request():
+    key = sampling._PhiloxKey(7)
+    assert np.array_equal(key.generate_state(2, np.uint64), [7, 0])
+    for n_words, dtype in [(4, np.uint64), (2, np.uint32), (1, np.uint64)]:
+        with pytest.raises(ValueError):
+            key.generate_state(n_words, dtype)
+
+
+def test_derived_rng_reads_no_os_entropy(monkeypatch):
+    calls = []
+    real = bit_generator.randbits
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bit_generator, "randbits", counting)
+    for index in range(50):
+        derived_rng(11, index)
+    assert calls == []
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 2.0, 1000.0])
+@pytest.mark.parametrize("base", [Gaussian(0.5), Dirac(1.25),
+                                  FiniteMixture(atoms=((0.8, 0.5), (-0.4, 0.5)))],
+                         ids=["gaussian", "dirac", "mixture"])
+def test_compound_estimate_reads_reference_streams(monkeypatch, rate, base):
+    op = HermitianOperator(random_hermitian(3, np.random.default_rng(5)))
+    emp, ledger = estimate_compound_channel(op, base, rate, 40, seed=-9)
+    monkeypatch.setattr(sampling, "derived_rng", reference_rng)
+    ref_emp, ref_ledger = estimate_compound_channel(op, base, rate, 40, seed=-9)
+    assert np.array_equal(emp.multiplier, ref_emp.multiplier)
+    assert np.array_equal(ledger.per_shot_times, ref_ledger.per_shot_times)
+    assert (ledger.total_time, ledger.worst_case, ledger.shots) == \
+        (ref_ledger.total_time, ref_ledger.worst_case, ref_ledger.shots)
 
 
 # ---------------------------------------------------------------------------

@@ -132,12 +132,6 @@ def test_exact_channel_compound_poisson_frozen_offdiagonal():
     assert abs(m[0, 1] - 0.42119274782353533) < 1e-15
 
 
-def test_compound_poisson_rejects_zero_atom():
-    from twirlsim import DistributionError
-    with pytest.raises(DistributionError):
-        CompoundPoisson(rate=1.0, base=Dirac(0.0))
-
-
 def test_multiplier_cptp_across_variants():
     for _ in range(10):
         dim = int(rng.integers(2, 6))
