@@ -66,9 +66,7 @@ from .errors import (
 )
 from .linalg import (
     HermitianOperator,
-    SpectralDecomposition,
     eig_hermitian,
-    kron,
     random_hermitian,
     trace_norm,
     unvec,

@@ -120,20 +120,14 @@ class CPTPReport:
     max_diag_deviation: float
 
 
-def _multiplier_of(m) -> np.ndarray:
-    if isinstance(m, SchurMultiplier):
-        return m.multiplier
-    return require_square(m)
-
-
-def cptp_check(m) -> CPTPReport:
+def cptp_check(mat) -> CPTPReport:
     """Complete positivity and trace preservation of an entrywise multiplier.
 
     CP holds iff the multiplier matrix is PSD; TP holds iff its diagonal is
     all ones. The minimum eigenvalue is taken of the Hermitian part, and a
     symmetry defect beyond |CP_EIG_TOL| also disqualifies CP.
     """
-    mat = _multiplier_of(m)
+    mat = require_square(mat)
     defect = hermiticity_defect(mat)
     min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
     max_diag = float(np.abs(np.diag(mat) - 1.0).max())
@@ -151,7 +145,7 @@ def apply_schur(m: SchurMultiplier, rho) -> np.ndarray:
     rho = require_square(rho)
     if rho.shape != m.multiplier.shape:
         raise ShapeError(f"state shape {rho.shape} does not match multiplier {m.multiplier.shape}")
-    report = cptp_check(m)
+    report = cptp_check(m.multiplier)
     if not (report.is_cp and report.is_tp):
         warnings.warn(
             f"multiplier fails CPTP check (cp={report.is_cp}, tp={report.is_tp}); "

@@ -178,18 +178,19 @@ def cmd_qpe(args) -> int:
     if cfg.t <= 0:
         raise ConfigError("evolution.t", f"qpe needs t > 0, got {cfg.t}")
     k = args.eigen_index
+    dim = cfg.hamiltonian.dim
     if k is None:
-        outcomes = cfg.dim * cfg.shots
+        outcomes = dim * cfg.shots
         if outcomes > MAX_RUN_DRAWS:
             raise ConfigError("sampler.shots",
-                              f"{cfg.shots} shots for each of {cfg.dim} eigenvalues draw "
+                              f"{cfg.shots} shots for each of {dim} eigenvalues draw "
                               f"{outcomes} outcomes; at most {MAX_RUN_DRAWS:.0e} are allowed "
                               "(--eigen-index draws one eigenvalue's)")
         runs = enumerate(resolve_spectrum(cfg.hamiltonian, cfg.t, cfg.shots, cfg.seed))
-    elif 0 <= k < cfg.dim:
+    elif 0 <= k < dim:
         runs = [(k, estimate_lambda(cfg.hamiltonian, k, cfg.t, cfg.shots, cfg.seed))]
     else:
-        raise ConfigError("--eigen-index", f"index {k} out of range for dimension {cfg.dim}")
+        raise ConfigError("--eigen-index", f"index {k} out of range for dimension {dim}")
     rows = []
     for index, run in runs:
         low = run.estimate - 5 * run.stderr

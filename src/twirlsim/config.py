@@ -46,8 +46,6 @@ MAX_QUBITS = 10  # a 2^10 x 2^10 complex matrix is 16 MiB
 
 @dataclass(frozen=True)
 class RunConfig:
-    dim: int
-    qubits: int | None
     hamiltonian: HermitianOperator
     initial_state: np.ndarray
     t: float
@@ -214,12 +212,9 @@ def _build_hamiltonian(node, dim: int, qubits: int | None, base_dir: str) -> Her
     if "pauli" in node:
         if qubits is None:
             raise ConfigError("hamiltonian.pauli", "a Pauli sum needs system.qubits")
-        lines = node["pauli"]
-        if isinstance(lines, str):
-            text = lines
-        elif isinstance(lines, list) and all(isinstance(x, str) for x in lines):
-            text = "\n".join(lines)
-        else:
+        text = node["pauli"]
+        if not (isinstance(text, str)
+                or (isinstance(text, list) and all(isinstance(x, str) for x in text))):
             raise ConfigError("hamiltonian.pauli", "expected a string or list of strings")
         try:
             return parse_pauli_sum(text, qubits=qubits)
@@ -363,7 +358,7 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
     if "metrics_out" in overrides:
         metrics_out = _resolve_output_path(overrides["metrics_out"], "outputs.metrics", ".")
 
-    return RunConfig(dim=dim, qubits=qubits, hamiltonian=hamiltonian,
+    return RunConfig(hamiltonian=hamiltonian,
                      initial_state=state, t=t, epsilon=epsilon, law=law,
                      shots=shots, seed=seed,
                      state_out=state_out, metrics_out=metrics_out)

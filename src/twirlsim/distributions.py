@@ -152,7 +152,8 @@ def levy_psi(triplet: LevyTriplet, omega):
 
     psi(omega) = -(sigma2/2) omega^2 - i gamma omega
                  + sum_j w_j (exp(-i omega s_j) - 1 [+ i omega s_j for
-                   compensated small jumps]).
+                   compensated small jumps]),
+    as complex128 values of omega's shape, () for a scalar omega.
     """
     w = np.asarray(omega, dtype=np.float64)
     psi = -0.5 * triplet.sigma2 * w ** 2 - 1j * triplet.gamma * w
@@ -162,8 +163,6 @@ def levy_psi(triplet: LevyTriplet, omega):
         if triplet.compensated and abs(s) <= 1.0:
             term = term + 1j * w * s
         psi = psi + weight * term
-    if np.isscalar(omega):
-        return complex(psi)
     return psi
 
 
@@ -183,26 +182,20 @@ def scale_triplet(triplet: LevyTriplet, t: float) -> LevyTriplet:
 
 @singledispatch
 def char_minus(dist, omega):
-    """E[exp(-i omega s)] for s ~ dist; omega may be a scalar or an array."""
+    """E[exp(-i omega s)] for s ~ dist: complex128 values of omega's shape, () for a scalar."""
     raise TypeError(f"no characteristic function for {type(dist).__name__}")
-
-
-def _shaped(value, omega):
-    if np.isscalar(omega):
-        return complex(value)
-    return value
 
 
 @char_minus.register
 def _(dist: Gaussian, omega):
     w = np.asarray(omega, dtype=np.float64)
-    return _shaped(np.exp(-0.5 * dist.variance * w ** 2).astype(np.complex128), omega)
+    return np.exp(-0.5 * dist.variance * w ** 2).astype(np.complex128)
 
 
 @char_minus.register
 def _(dist: Dirac, omega):
     w = np.asarray(omega, dtype=np.float64)
-    return _shaped(np.exp(-1j * dist.location * w), omega)
+    return np.exp(-1j * dist.location * w)
 
 
 @char_minus.register
@@ -211,13 +204,12 @@ def _(dist: FiniteMixture, omega):
     acc = np.zeros(w.shape, dtype=np.complex128)
     for s, p in dist.atoms:
         acc += p * np.exp(-1j * s * w)
-    return _shaped(acc, omega)
+    return acc
 
 
 @char_minus.register
 def _(dist: CompoundPoisson, omega):
-    base = char_minus(dist.base, np.asarray(omega, dtype=np.float64))
-    return _shaped(np.exp(dist.rate * (np.asarray(base) - 1.0)), omega)
+    return np.exp(dist.rate * (char_minus(dist.base, omega) - 1.0))
 
 
 def _truncated_char_rule(variance: float, width: float, freqs: np.ndarray) -> np.ndarray:
@@ -258,19 +250,19 @@ def _(dist: TruncatedGaussian, omega):
     # |a + ib|^2 >= 2ab = |omega| W.
     w = np.asarray(omega, dtype=np.float64)
     if dist.variance == 0.0:
-        return _shaped(np.ones(w.shape, dtype=np.complex128), omega)
+        return np.ones(w.shape, dtype=np.complex128)
     width = min(dist.cutoff, TRUNCATED_CHAR_SIGMAS * math.sqrt(dist.variance))
     freqs, where = np.unique(np.append(0.0, np.abs(w)), return_inverse=True)
     near = freqs * width < TRUNCATED_CHAR_MAX_PHASE
     value = np.empty(freqs.size)
     value[near] = _truncated_char_rule(dist.variance, width, freqs[near])
     value[~near] = _truncated_char_series(dist.variance, width, freqs[~near])
-    return _shaped(value[where[1:]].reshape(w.shape).astype(np.complex128), omega)
+    return value[where[1:]].reshape(w.shape).astype(np.complex128)
 
 
 @char_minus.register
 def _(dist: LevyTriplet, omega):
-    return _shaped(np.exp(levy_psi(dist, np.asarray(omega, dtype=np.float64))), omega)
+    return np.exp(levy_psi(dist, omega))
 
 
 @singledispatch

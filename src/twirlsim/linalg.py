@@ -2,14 +2,13 @@
 
 Conventions used throughout the package:
   * vec stacks rows: vec(|i><j|) = e_{i*d + j}, so (A (x) B) vec(R) = vec(A R B^T).
-  * Hermitian eigendecompositions return eigenvalues in ascending order and
-    eigenvectors with a deterministic phase (largest-magnitude component made
-    real and positive).
+  * eig_hermitian returns (eigenvalues, eigenvectors): eigenvalues in ascending
+    order, eigenvector columns with a deterministic phase (largest-magnitude
+    component made real and positive). HermitianOperator, the one Hermitian
+    type, keeps both and builds functions of the matrix, exp(-iHs) among them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,23 +37,6 @@ def hermiticity_defect(a) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending, real) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def function_of(self, values: np.ndarray) -> np.ndarray:
-        """Assemble V diag(values) V^dagger for per-eigenvalue values."""
-        v = self.eigenvectors
-        return (v * np.asarray(values)) @ v.conj().T
-
-
 def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
     # rotate each column so its largest-magnitude entry is real positive;
     # ties inside degenerate clusters then resolve the same way on every run
@@ -68,8 +50,8 @@ def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_hermitian(a) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending real eigenvalues and orthonormal eigenvector columns of a Hermitian matrix.
 
     Raises ShapeError for non-square input and HermiticityError when the
     symmetry defect exceeds HERMITICITY_RTOL relative to the largest entry.
@@ -81,11 +63,11 @@ def eig_hermitian(a) -> SpectralDecomposition:
         raise HermiticityError(f"matrix is not Hermitian: defect {defect:.3e} "
                                f"exceeds {HERMITICITY_RTOL:.1e} * {scale:.3e}")
     w, v = np.linalg.eigh(m)
-    return SpectralDecomposition(w, _canonical_phases(v))
+    return w, _canonical_phases(v)
 
 
 class HermitianOperator:
-    """A Hermitian matrix together with its spectral decomposition.
+    """A Hermitian matrix together with its eigenvalues and eigenvectors.
 
     Treated as immutable after construction; the decomposition is computed
     once and reused for every channel and unitary built from it.
@@ -93,23 +75,20 @@ class HermitianOperator:
 
     def __init__(self, matrix):
         self.matrix = as_complex_matrix(matrix)
-        self.spectral = eig_hermitian(self.matrix)
+        self.eigenvalues, self.eigenvectors = eig_hermitian(self.matrix)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectral.eigenvalues
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self.spectral.eigenvectors
+    def function_of(self, values) -> np.ndarray:
+        """Assemble V diag(values) V^dagger for per-eigenvalue values."""
+        v = self.eigenvectors
+        return (v * np.asarray(values)) @ v.conj().T
 
     def unitary_at(self, s: float) -> np.ndarray:
         """exp(-i H s) assembled from the cached decomposition."""
-        return self.spectral.function_of(np.exp(-1j * self.eigenvalues * s))
+        return self.function_of(np.exp(-1j * self.eigenvalues * s))
 
     def gaps(self) -> np.ndarray:
         """Matrix of eigenvalue differences lambda_j - lambda_k."""
@@ -133,10 +112,6 @@ def unvec(v, d: int) -> np.ndarray:
     if arr.ndim != 1 or arr.shape[0] != d * d:
         raise ShapeError(f"expected a vector of length {d * d}, got shape {arr.shape}")
     return arr.reshape(d, d)
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def trace_norm(a) -> float:

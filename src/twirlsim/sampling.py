@@ -249,7 +249,8 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
     Each shot applies exp(-iHs) with s the summed jumps of one compound
     Poisson draw. The ledger records the summed jump magnitudes sum_j |X_j|
     per shot (the simulated time if each jump is applied as its own
-    evolution), whose expectation is t * E|X_1| for every base law.
+    evolution), whose expectation is t * E|X_1| for every base law. At
+    t = 0 no shot has a jump, so no stream is drawn.
     """
     t = float(t)
     if not t >= 0.0:
@@ -258,11 +259,12 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    times = np.empty(shots, dtype=np.float64)
-    costs = np.empty(shots, dtype=np.float64)
-    for i in range(shots):
-        kicks = compound_poisson_kicks(t, base, derived_rng(seed, i))
-        times[i], costs[i] = kicks.sum(), np.abs(kicks).sum()
+    times = np.zeros(shots, dtype=np.float64)
+    costs = np.zeros(shots, dtype=np.float64)
+    if t > 0.0:
+        for i in range(shots):
+            kicks = compound_poisson_kicks(t, base, derived_rng(seed, i))
+            times[i], costs[i] = kicks.sum(), np.abs(kicks).sum()
     ledger = CostLedger(per_shot_times=costs, total_time=math.fsum(costs),
                         worst_case=float(costs.max()), shots=shots)
     return empirical_channel(h, times), ledger

@@ -19,7 +19,7 @@ from numpy.polynomial.hermite import hermgauss
 from .channels import SchurMultiplier
 from .distributions import DistributionSpec, Gaussian, char_minus
 from .errors import CommutationError
-from .linalg import as_operator, kron, require_square, unvec, vec
+from .linalg import as_operator, require_square, unvec, vec
 
 COMMUTATION_TOL = 1e-10  # spectral norm of a commutator taken as zero
 HS_QUADRATURE_NODES = 64
@@ -54,7 +54,7 @@ def dissipator_matrix(h) -> np.ndarray:
     """K = H (x) I - I (x) H^T, so that vec(H rho H - {rho, H^2}/2) = -K^2/2 vec(rho)."""
     op = as_operator(h)
     eye = np.eye(op.dim)
-    return kron(op.matrix, eye) - kron(eye, op.matrix.T)
+    return np.kron(op.matrix, eye) - np.kron(eye, op.matrix.T)
 
 
 def vectorized_oracle(h, rho, t: float) -> np.ndarray:
@@ -128,6 +128,6 @@ def hs_quadrature_check(h, t: float) -> float:
     for xi, wi in zip(x, w):
         acc += wi * op.unitary_at(scale * xi)
     acc /= math.sqrt(math.pi)
-    target = op.spectral.function_of(np.exp(-0.5 * t * op.eigenvalues ** 2))
+    target = op.function_of(np.exp(-0.5 * t * op.eigenvalues ** 2))
     return float(np.abs(acc - target).max())
 

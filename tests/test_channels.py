@@ -35,7 +35,7 @@ PLUS = plus_state(1)
 
 
 def dephasing_multiplier(off: float) -> SchurMultiplier:
-    basis = eig_hermitian(Z).eigenvectors
+    basis = eig_hermitian(Z)[1]
     m = np.array([[1.0, off], [off, 1.0]], dtype=complex)
     return SchurMultiplier(basis, m)
 
@@ -64,7 +64,7 @@ def test_apply_schur_dephases_plus_state():
 
 
 def test_apply_schur_all_ones_is_exact_identity():
-    m = SchurMultiplier(eig_hermitian(Z).eigenvectors, np.ones((2, 2), dtype=complex))
+    m = SchurMultiplier(eig_hermitian(Z)[1], np.ones((2, 2), dtype=complex))
     for _ in range(50):
         rho = random_density_matrix(2, rng)
         assert np.array_equal(apply_schur(m, rho), rho)
@@ -112,7 +112,7 @@ def test_choi_of_unitary_matches_definition():
 
 
 def test_choi_cptp_structure():
-    basis = eig_hermitian(Z).eigenvectors
+    basis = eig_hermitian(Z)[1]
     m = SchurMultiplier(basis, np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex))
     choi = choi_of_superoperator(superoperator_of_schur(m))
     report = check_choi(choi, 2)
@@ -141,8 +141,8 @@ def test_superoperator_composition_is_matrix_product():
     for _ in range(5):
         h1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h2 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b1 = eig_hermitian(h1 + h1.conj().T).eigenvectors
-        b2 = eig_hermitian(h2 + h2.conj().T).eigenvectors
+        b1 = eig_hermitian(h1 + h1.conj().T)[1]
+        b2 = eig_hermitian(h2 + h2.conj().T)[1]
         m1 = SchurMultiplier(b1, np.full((3, 3), 0.5) + 0.5 * np.eye(3))
         m2 = SchurMultiplier(b2, np.full((3, 3), 0.25) + 0.75 * np.eye(3))
         s1 = superoperator_of_schur(m1)
@@ -156,7 +156,7 @@ def test_superoperator_composition_is_matrix_product():
 def test_apply_choi_matches_superoperator():
     for _ in range(5):
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        basis = eig_hermitian(h + h.conj().T).eigenvectors
+        basis = eig_hermitian(h + h.conj().T)[1]
         m = SchurMultiplier(basis, np.full((3, 3), 0.4) + 0.6 * np.eye(3))
         s = superoperator_of_schur(m)
         rho = random_density_matrix(3, rng)
@@ -168,7 +168,7 @@ def test_apply_choi_matches_superoperator():
 
 def test_schur_superoperator_matches_apply():
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    basis = eig_hermitian(h + h.conj().T).eigenvectors
+    basis = eig_hermitian(h + h.conj().T)[1]
     mult = np.exp(-0.5 * (rng.uniform(0, 2, size=(4, 4)) + rng.uniform(0, 2, size=(4, 4)).T))
     np.fill_diagonal(mult, 1.0)
     m = SchurMultiplier(basis, mult.astype(complex))

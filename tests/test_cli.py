@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,8 +59,7 @@ def read_csv(path):
 
 def test_parse_minimal_config(tmp_path):
     cfg = parse_config(base_config(), base_dir=str(tmp_path))
-    assert cfg.dim == 2
-    assert cfg.qubits == 1
+    assert cfg.hamiltonian.dim == 2
     assert cfg.t == 1.0
     assert cfg.shots is None
     assert np.allclose(cfg.initial_state, plus_state(1))
@@ -167,7 +170,6 @@ def test_parse_matrix_file_hamiltonian(tmp_path):
     }
     cfg = parse_config(data, base_dir=str(tmp_path))
     assert np.array_equal(cfg.hamiltonian.matrix, Z)
-    assert cfg.qubits is None
     data["hamiltonian"] = {"matrix_file": "missing.txt"}
     with pytest.raises(ConfigError) as err:
         parse_config(data, base_dir=str(tmp_path))
@@ -599,3 +601,17 @@ def test_qpe_eigen_index_draws_only_its_own_stream(tmp_path, capsys, monkeypatch
     assert main(["qpe", "--config", path, "--eigen-index", "4"]) == 2
     assert capsys.readouterr().err.startswith("error: --eigen-index:")
     assert indices == []
+
+
+def test_module_entry_point_exit_codes():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "twirlsim", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    assert run("verify", "--dims", "2", "--trials", "1").returncode == 0
+    assert run("verify", "--dims", "2", "--trials", "1", "--inject-fault").returncode == 1
+    bad = run("verify", "--dims", "0")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: --dims")

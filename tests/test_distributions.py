@@ -115,6 +115,7 @@ def test_char_minus_vectorized_and_conjugate_symmetric():
         assert np.abs(m - m.conj().T).max() < 1e-12
         assert np.abs(np.diag(m) - 1.0).max() < 1e-12
         scalar = char_minus(dist, 2.0)
+        assert scalar.shape == () and scalar.dtype == np.complex128
         assert abs(m[1, 0] - scalar) < 1e-15
 
 
@@ -129,6 +130,8 @@ def test_levy_psi_single_atom_uncompensated():
     trip = LevyTriplet(sigma2=0.0, gamma=0.0, atoms=((2.0, 1.0),))
     expected = np.exp(-2.0j) - 1.0
     assert abs(levy_psi(trip, 1.0) - expected) < 1e-15
+    psi = levy_psi(trip, 0.3)
+    assert psi.shape == () and psi.dtype == np.complex128
     # matches the compound Poisson characteristic function with Dirac base
     cp = CompoundPoisson(rate=1.0, base=Dirac(2.0))
     for w in (0.5, 1.0, 3.0):

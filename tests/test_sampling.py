@@ -634,6 +634,20 @@ def test_estimate_compound_channel_zero_time():
     assert ledger.total_time == 0.0
 
 
+def test_compound_estimate_at_rate_zero_draws_no_stream(monkeypatch):
+    indices = []
+
+    def counting(seed, index):
+        indices.append(index)
+        return derived_rng(seed, index)
+
+    monkeypatch.setattr(sampling, "derived_rng", counting)
+    emp, ledger = estimate_compound_channel(Z, Gaussian(0.5), t=0.0, shots=40, seed=3)
+    assert indices == []
+    assert np.array_equal(emp.multiplier, np.ones((2, 2)))
+    assert np.array_equal(ledger.per_shot_times, np.zeros(40))
+
+
 # ---------------------------------------------------------------------------
 # scaling diagnostics
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from twirlsim import (
     exact_channel,
     gaussian_evolution,
     hs_quadrature_check,
-    kron,
     plus_state,
     random_density_matrix,
     random_hermitian,
@@ -140,7 +139,7 @@ def test_multiplier_cptp_across_variants():
                      FiniteMixture(atoms=((0.3, 0.5), (-1.1, 0.5))),
                      CompoundPoisson(1.5, Dirac(0.7)),
                      LevyTriplet(0.2, 0.5, atoms=((1.3, 0.4),), compensated=True)):
-            report = cptp_check(schur_multiplier_for(h, dist))
+            report = cptp_check(schur_multiplier_for(h, dist).multiplier)
             assert report.is_cp, (dist, report)
             assert report.is_tp, (dist, report)
 
@@ -156,8 +155,8 @@ def test_hs_quadrature_z_and_random():
 
 
 def test_sequential_commuting_matches_joint_oracle():
-    h1 = kron(Z, I2)
-    h2 = kron(I2, Z)
+    h1 = np.kron(Z, I2)
+    h2 = np.kron(I2, Z)
     rho = random_density_matrix(4, rng)
     seq = sequential_choi_commuting([h1, h2], rho, 0.9)
     joint = commuting_generator_oracle([h1, h2], rho, 0.9)
