@@ -7,6 +7,7 @@ second (output) factor equal to the identity.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,8 +38,10 @@ class CPTPWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 def check_density_matrix(rho) -> None:
-    """Raise ValueError unless rho is Hermitian, unit trace and PSD within DENSITY_ATOL."""
+    """Raise ValueError unless rho is finite, Hermitian, unit trace and PSD within DENSITY_ATOL."""
     m = require_square(rho)
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix has non-finite entries")
     defect = hermiticity_defect(m)
     if defect > DENSITY_ATOL:
         raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
@@ -125,9 +128,13 @@ def cptp_check(mat) -> CPTPReport:
 
     CP holds iff the multiplier matrix is PSD; TP holds iff its diagonal is
     all ones. The minimum eigenvalue is taken of the Hermitian part, and a
-    symmetry defect beyond |CP_EIG_TOL| also disqualifies CP.
+    symmetry defect beyond |CP_EIG_TOL| also disqualifies CP. A multiplier
+    with a non-finite entry is neither, with NaN for both measures.
     """
     mat = require_square(mat)
+    if not np.isfinite(mat).all():
+        return CPTPReport(is_cp=False, is_tp=False, min_eigenvalue=math.nan,
+                          max_diag_deviation=math.nan)
     defect = hermiticity_defect(mat)
     min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
     max_diag = float(np.abs(np.diag(mat) - 1.0).max())

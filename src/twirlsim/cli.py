@@ -80,39 +80,48 @@ def cmd_simulate(args) -> int:
         raise ConfigError("outputs", "simulate needs outputs.state and outputs.metrics")
     started = time.perf_counter()
 
-    if cfg.shots is None:
-        final_state = exact_channel(cfg.hamiltonian, cfg.law).apply(cfg.initial_state)
-        row = ["exact", cfg.t, cfg.epsilon, None, None, None, None, None]
-    else:
-        law = cfg.law
+    law = cfg.law
+    if cfg.shots is not None:
         if isinstance(law, (Gaussian, TruncatedGaussian)) and cfg.t <= 0.0:
             raise ConfigError("evolution.t", "sampled gaussian runs need t > 0")
         if isinstance(law, Gaussian):
             law = TruncatedGaussian(variance=cfg.t, cutoff=cutoff(cfg.t, cfg.epsilon))
+        if isinstance(law, CompoundPoisson):
+            if cfg.t > MAX_SAMPLED_RATE:
+                raise ConfigError("evolution.t", f"rate {cfg.t:g} too large to sample "
+                                                 f"(at most {MAX_SAMPLED_RATE:g})")
+            kicks = cfg.shots * cfg.t
+            if kicks > MAX_RUN_DRAWS:
+                raise ConfigError("sampler.shots",
+                                  f"{cfg.shots} shots at rate {cfg.t:g} draw about {kicks:.3g} "
+                                  f"kicks; at most {MAX_RUN_DRAWS:.0e} are allowed")
+        elif not isinstance(law, TruncatedGaussian):
+            raise ConfigError("sampler.shots",
+                              f"distribution {type(law).__name__} has no sampler; "
+                              "run without shots")
+    exact = exact_channel(cfg.hamiltonian, law)
+    if not np.isfinite(exact.multiplier).all():
+        raise ConfigError("evolution.distribution",
+                          f"the {type(law).__name__} multiplier overflows at the "
+                          "eigenvalue gaps of the Hamiltonian")
+
+    if cfg.shots is None:
+        final_state = exact.apply(cfg.initial_state)
+        row = ["exact", cfg.t, cfg.epsilon, None, None, None, None, None]
+    else:
         if isinstance(law, TruncatedGaussian):
             plan = ShotPlan(t=cfg.t, epsilon=cfg.epsilon, cutoff=law.cutoff,
                             shots=cfg.shots, seed=cfg.seed)
             empirical, ledger = estimate_channel(cfg.hamiltonian, plan)
             mode, s_cut, tv = "sampled_gaussian", law.cutoff, tv_bound(cfg.t, law.cutoff)
-        elif isinstance(law, CompoundPoisson):
-            # a rate above MAX_SAMPLED_RATE is refused by the sampler's first shot
-            kicks = cfg.shots * cfg.t
-            if cfg.t <= MAX_SAMPLED_RATE and kicks > MAX_RUN_DRAWS:
-                raise ConfigError("sampler.shots",
-                                  f"{cfg.shots} shots at rate {cfg.t:g} draw about {kicks:.3g} "
-                                  f"kicks; at most {MAX_RUN_DRAWS:.0e} are allowed")
+        else:
             empirical, ledger = estimate_compound_channel(
                 cfg.hamiltonian, law.base, cfg.t, cfg.shots, cfg.seed)
             mode, s_cut, tv = "sampled_compound", None, None
-        else:
-            raise ConfigError("sampler.shots",
-                              f"distribution {type(law).__name__} has no sampler; "
-                              "run without shots")
         final_state = empirical.apply(cfg.initial_state)
         # both multipliers live in the eigenbasis of cfg.hamiltonian, and the map
         # from a multiplier to its Choi matrix is an isometry, so the d x d trace
         # norm equals the Choi trace distance
-        exact = exact_channel(cfg.hamiltonian, law)
         distance = trace_norm(empirical.multiplier - exact.multiplier)
         row = [mode, cfg.t, cfg.epsilon, s_cut, cfg.shots, ledger.total_time, distance, tv]
     row.append(time.perf_counter() - started)
@@ -193,11 +202,15 @@ def cmd_qpe(args) -> int:
         raise ConfigError("--eigen-index", f"index {k} out of range for dimension {dim}")
     rows = []
     for index, run in runs:
-        low = run.estimate - 5 * run.stderr
-        high = run.estimate + 5 * run.stderr
-        rows.append([index, run.estimate, run.stderr, run.raw_mean, low, high])
-        print(f"eigenvalue[{index}]: raw mean {_fmt(run.raw_mean)}, "
-              f"estimate {_fmt(run.estimate)} +- {_fmt(run.stderr)}, "
+        row = [index, run.estimate, run.stderr, run.raw_mean,
+               run.estimate - 5 * run.stderr, run.estimate + 5 * run.stderr]
+        if not np.isfinite(row).all():
+            raise ConfigError("evolution.t", f"the estimate or its interval overflows at "
+                                             f"t={cfg.t:g}; the outcome spread is 1/(2 sqrt(t))")
+        rows.append(row)
+    for index, estimate, stderr, raw_mean, low, high in rows:
+        print(f"eigenvalue[{index}]: raw mean {_fmt(raw_mean)}, "
+              f"estimate {_fmt(estimate)} +- {_fmt(stderr)}, "
               f"5-sigma interval [{_fmt(low)}, {_fmt(high)}]")
     if args.csv_out:
         _write_csv(args.csv_out, QPE_HEADER, rows)
@@ -264,7 +277,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the commands test what they emit for finiteness and name the key at fault,
+        # so numpy's overflow warnings on the way there would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ValueError as exc:  # ConfigError and ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

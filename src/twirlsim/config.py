@@ -218,7 +218,7 @@ def _build_hamiltonian(node, dim: int, qubits: int | None, base_dir: str) -> Her
             raise ConfigError("hamiltonian.pauli", "expected a string or list of strings")
         try:
             return parse_pauli_sum(text, qubits=qubits)
-        except ParseError as exc:
+        except (ParseError, HermiticityError) as exc:
             raise ConfigError("hamiltonian.pauli", str(exc)) from None
     path = _resolve_input_path(node["matrix_file"], "hamiltonian.matrix_file", base_dir)
     try:

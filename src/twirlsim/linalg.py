@@ -53,11 +53,15 @@ def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Ascending real eigenvalues and orthonormal eigenvector columns of a Hermitian matrix.
 
-    Raises ShapeError for non-square input and HermiticityError when the
-    symmetry defect exceeds HERMITICITY_RTOL relative to the largest entry.
+    Raises ShapeError for non-square input, and HermiticityError for a
+    non-finite entry or when the symmetry defect exceeds HERMITICITY_RTOL
+    relative to the largest entry.
     """
     m = require_square(a)
-    scale = max(1.0, float(np.abs(m).max()))
+    largest = float(np.abs(m).max())
+    if not np.isfinite(largest):
+        raise HermiticityError("matrix has a non-finite entry")
+    scale = max(1.0, largest)
     defect = hermiticity_defect(m)
     if defect > HERMITICITY_RTOL * scale:
         raise HermiticityError(f"matrix is not Hermitian: defect {defect:.3e} "

@@ -11,6 +11,8 @@ which round-trips every finite double exactly. Example for the identity:
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .errors import ParseError
@@ -60,20 +62,24 @@ def parse_matrix_text(text: str) -> np.ndarray:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != rows:
         raise ParseError(f"expected {rows} data rows, found {len(body)}")
-    out = np.zeros((rows, cols), dtype=np.complex128)
+    parsed = []
     for r, line in enumerate(body):
         fields = line.split()
         if len(fields) != cols:
             raise ParseError(f"expected {cols} entries, found {len(fields)}", r + 2)
+        values = []
         for c, token in enumerate(fields):
             try:
-                out[r, c] = complex(token)
+                value = complex(token)
             except ValueError:
                 raise ParseError(f"entry {token!r} is not a complex number",
                                  r + 2, c + 1) from None
-            if not np.isfinite(out[r, c]):
+            if not cmath.isfinite(value):
                 raise ParseError(f"entry {token!r} is not finite", r + 2, c + 1)
-    return out
+            values.append(value)
+        parsed.append(values)
+    # built only now, so the header's size is never allocated before the body holds it
+    return np.array(parsed, dtype=np.complex128)
 
 
 def read_matrix(path) -> np.ndarray:

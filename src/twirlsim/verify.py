@@ -1,13 +1,12 @@
 """Randomized self-verification: dual-route and invariant checks.
 
-Each check runs over seeded random instances and reports its worst observed
-deviation against a fixed threshold. The report text is deterministic for a
+Each check draws seeded random instances and yields one deviation per case;
+the report gives each check's worst deviation against a fixed threshold. A
+NaN deviation is the worst and fails. The report text is deterministic for a
 given seed, so it can be diffed between runs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +29,6 @@ SEMIGROUP_TOL = 1e-12
 HS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    cases: int
-    deviation: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= self.threshold
-
-
 def _random_distributions(rng: np.random.Generator) -> list:
     mixture = FiniteMixture(atoms=((float(rng.uniform(-3, 3)), 0.25),
                                    (float(rng.uniform(-3, 3)), 0.75)))
@@ -59,28 +46,18 @@ def _random_distributions(rng: np.random.Generator) -> list:
     ]
 
 
-def check_oracle_equivalence(dims, trials: int, seed: int) -> CheckResult:
+def _oracle_equivalence(rng, dims, trials: int):
     """Gaussian twirl versus the vectorized generator exponential."""
-    rng = derived_rng(seed, VERIFY_STREAMS + 1)
-    worst = 0.0
-    cases = 0
     for dim in dims:
         for _ in range(trials):
             h = random_hermitian(dim, rng, scale=float(rng.uniform(0.5, 2.0)))
             rho = random_density_matrix(dim, rng)
             t = float(rng.uniform(0.0, 4.0))
-            dev = float(np.abs(gaussian_evolution(h, rho, t)
-                               - vectorized_oracle(h, rho, t)).max())
-            worst = max(worst, dev)
-            cases += 1
-    return CheckResult("oracle-equivalence", cases, worst, ORACLE_TOL)
+            yield np.abs(gaussian_evolution(h, rho, t) - vectorized_oracle(h, rho, t)).max()
 
 
-def check_semigroup(trials: int, seed: int) -> CheckResult:
+def _semigroup(rng, trials: int):
     """Multiplier products: time t1 then t2 equals time t1 + t2."""
-    rng = derived_rng(seed, VERIFY_STREAMS + 2)
-    worst = 0.0
-    cases = 0
     for _ in range(trials):
         lam = np.sort(rng.uniform(-2, 2, size=4))
         gaps = lam[:, None] - lam[None, :]
@@ -88,53 +65,39 @@ def check_semigroup(trials: int, seed: int) -> CheckResult:
         for factory in (lambda s: Gaussian(variance=s),
                         lambda s: CompoundPoisson(rate=s, base=Dirac(location=1.3))):
             product = char_minus(factory(t1), gaps) * char_minus(factory(t2), gaps)
-            joint = char_minus(factory(t1 + t2), gaps)
-            worst = max(worst, float(np.abs(product - joint).max()))
-            cases += 1
-    return CheckResult("semigroup-multipliers", cases, worst, SEMIGROUP_TOL)
+            yield np.abs(product - char_minus(factory(t1 + t2), gaps)).max()
 
 
-def check_cptp(trials: int, seed: int, inject_fault: bool = False) -> CheckResult:
+def _cptp(rng, trials: int, inject_fault: bool):
     """Every distribution's multiplier must be CP (PSD) and TP (unit diagonal).
 
-    The reported deviation is max(0, -min_eig + CP slack, diag deviation) so
-    the threshold can be a single number.
+    A case's deviation is max(0, CP slack - min eigenvalue, diagonal
+    deviation), so the threshold can be a single number. inject_fault breaks
+    trace preservation in the first case.
     """
-    rng = derived_rng(seed, VERIFY_STREAMS + 3)
-    worst = 0.0
-    cases = 0
-    for trial in range(trials):
+    for _ in range(trials):
         dim = int(rng.integers(2, 9))
         lam = np.sort(rng.uniform(-3, 3, size=dim))
         gaps = lam[:, None] - lam[None, :]
         for dist in _random_distributions(rng):
             m = char_minus(dist, gaps)
-            if inject_fault and cases == 0:
+            if inject_fault:
                 m = m.copy()
                 m[0, 0] = 0.9  # deliberately break trace preservation
+                inject_fault = False
             report = cptp_check(m)
-            # PSD slack below -1e-9 and any diagonal deviation both count
-            dev = max(max(0.0, CP_EIG_TOL - report.min_eigenvalue), report.max_diag_deviation)
-            worst = max(worst, dev)
-            cases += 1
-    return CheckResult("cptp-multipliers", cases, worst, TP_DIAG_TOL)
+            yield np.max([0.0, CP_EIG_TOL - report.min_eigenvalue, report.max_diag_deviation])
 
 
-def check_hs_quadrature(trials: int, seed: int) -> CheckResult:
+def _hs_quadrature(rng, trials: int):
     """Gauss-Hermite average of exp(-iHs) versus exp(-H^2 t / 2)."""
-    rng = derived_rng(seed, VERIFY_STREAMS + 4)
-    worst = 0.0
     for _ in range(trials):
         h = random_hermitian(4, rng, scale=float(rng.uniform(0.5, 2.0)))
-        t = float(rng.uniform(0.1, 4.0))
-        worst = max(worst, hs_quadrature_check(h, t))
-    return CheckResult("hs-quadrature", trials, worst, HS_TOL)
+        yield hs_quadrature_check(h, float(rng.uniform(0.1, 4.0)))
 
 
-def check_schur_identity(trials: int, seed: int) -> CheckResult:
+def _schur_identity(rng, trials: int):
     """Twirl output in the eigenbasis equals the entrywise multiplier product."""
-    rng = derived_rng(seed, VERIFY_STREAMS + 5)
-    worst = 0.0
     for _ in range(trials):
         dim = int(rng.integers(2, 5))
         h = random_hermitian(dim, rng, scale=1.5)
@@ -143,26 +106,32 @@ def check_schur_identity(trials: int, seed: int) -> CheckResult:
         m = schur_multiplier_for(h, dist)
         u = m.eigenbasis
         lhs = u.conj().T @ gaussian_evolution(h, rho, dist.variance) @ u
-        rhs = m.multiplier * (u.conj().T @ rho @ u)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return CheckResult("schur-identity", trials, worst, SEMIGROUP_TOL)
+        yield np.abs(lhs - m.multiplier * (u.conj().T @ rho @ u)).max()
 
 
 def run_verification(dims=(2, 4, 8), trials: int = 20, seed: int = 7,
                      inject_fault: bool = False) -> tuple[str, bool]:
-    """Run all checks; returns (report text, all passed)."""
-    results = [
-        check_oracle_equivalence(dims, trials, seed),
-        check_semigroup(trials, seed),
-        check_cptp(trials, seed, inject_fault=inject_fault),
-        check_hs_quadrature(trials, seed),
-        check_schur_identity(trials, seed),
+    """Run all checks; returns (report text, all passed).
+
+    Check k (from 1, in report order) draws from the stream
+    derived_rng(seed, VERIFY_STREAMS + k).
+    """
+    checks = [
+        ("oracle-equivalence", ORACLE_TOL, lambda rng: _oracle_equivalence(rng, dims, trials)),
+        ("semigroup-multipliers", SEMIGROUP_TOL, lambda rng: _semigroup(rng, trials)),
+        ("cptp-multipliers", TP_DIAG_TOL, lambda rng: _cptp(rng, trials, inject_fault)),
+        ("hs-quadrature", HS_TOL, lambda rng: _hs_quadrature(rng, trials)),
+        ("schur-identity", SEMIGROUP_TOL, lambda rng: _schur_identity(rng, trials)),
     ]
     lines = [f"{'check':<24} {'cases':>6} {'max deviation':>14} {'threshold':>10} status"]
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.name:<24} {r.cases:>6} {r.deviation:>14.3e} "
-                     f"{r.threshold:>10.1e} {status}")
-    ok = all(r.passed for r in results)
+    ok = True
+    for k, (name, threshold, check) in enumerate(checks, start=1):
+        deviations = list(check(derived_rng(seed, VERIFY_STREAMS + k)))
+        # np.max propagates NaN, so a NaN deviation fails the comparison below
+        worst = float(np.max(deviations, initial=0.0))
+        passed = worst <= threshold
+        ok = ok and passed
+        lines.append(f"{name:<24} {len(deviations):>6} {worst:>14.3e} "
+                     f"{threshold:>10.1e} {'PASS' if passed else 'FAIL'}")
     lines.append("all checks passed" if ok else "verification FAILED")
     return "\n".join(lines), ok

@@ -6,6 +6,7 @@ import pytest
 
 from twirlsim import (
     CPTPWarning,
+    HermiticityError,
     SchurMultiplier,
     apply_choi,
     apply_schur,
@@ -88,6 +89,34 @@ def test_cptp_check_flags():
     neg = cptp_check(np.array([[1.0, 1.5], [1.5, 1.0]]))
     assert not neg.is_cp and neg.is_tp
     assert neg.min_eigenvalue < -0.4
+
+
+def _density_verdict(m):
+    with pytest.raises(ValueError, match="non-finite"):
+        check_density_matrix(m)
+
+
+def _eigen_verdict(m):
+    with pytest.raises(HermiticityError, match="non-finite"):
+        eig_hermitian(m)
+
+
+def _cptp_verdict(m):
+    report = cptp_check(m)
+    assert not report.is_cp and not report.is_tp
+    assert math.isnan(report.min_eigenvalue) and math.isnan(report.max_diag_deviation)
+
+
+@pytest.mark.parametrize("verdict", [_density_verdict, _eigen_verdict, _cptp_verdict])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("fill", ["all-nan", "one-inf"])
+def test_non_finite_input_is_rejected_by_every_verdict(verdict, dim, fill):
+    if fill == "all-nan":
+        m = np.full((dim, dim), np.nan, dtype=complex)
+    else:
+        m = maximally_mixed(dim)
+        m[dim - 1, dim - 1] = np.inf
+    verdict(m)
 
 
 def test_choi_of_identity_superoperator():

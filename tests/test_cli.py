@@ -25,7 +25,14 @@ from twirlsim import cli, cvqpe, pauli
 from twirlsim.cli import MAX_VERIFY_DIM, METRICS_HEADER, main
 from twirlsim.config import MAX_QUBITS
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
-from twirlsim.sampling import MAX_RUN_DRAWS, MAX_SHOTS, QPE_STREAMS, cutoff, derived_rng
+from twirlsim.sampling import (
+    MAX_RUN_DRAWS,
+    MAX_SAMPLED_RATE,
+    MAX_SHOTS,
+    QPE_STREAMS,
+    cutoff,
+    derived_rng,
+)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -353,6 +360,19 @@ def test_compound_kick_total_capped_before_any_draw(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err.startswith("error: sampler.shots:")
 
 
+def test_compound_rate_capped_before_any_draw(tmp_path, monkeypatch, capsys):
+    stand_in_samplers(monkeypatch)
+    cfg = base_config(sampler={"shots": 1, "seed": 1},
+                      outputs={"state": "state.txt", "metrics": "metrics.csv"})
+    cfg["evolution"]["distribution"] = {"kind": "compound_poisson",
+                                        "base": {"kind": "dirac", "location": 1.0}}
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(SamplerReached):
+        main(["simulate", "--config", path, "--t", str(MAX_SAMPLED_RATE)])
+    assert main(["simulate", "--config", path, "--t", str(2 * MAX_SAMPLED_RATE)]) == 2
+    assert capsys.readouterr().err.startswith("error: evolution.t:")
+
+
 def test_qpe_outcome_total_capped_before_any_draw(tmp_path, monkeypatch, capsys):
     stand_in_samplers(monkeypatch)
     qubits = 7
@@ -431,6 +451,53 @@ def test_simulate_rejects_non_hermitian_matrix_file(tmp_path, capsys):
     code, _, _ = run_simulate(tmp_path, base_config(hamiltonian={"matrix_file": "h.txt"}))
     assert code == 2
     assert capsys.readouterr().err.startswith("error: hamiltonian.matrix_file:")
+
+
+@pytest.mark.parametrize("header", ["1 100000000000", "1 10000000000000000000"])
+def test_simulate_rejects_matrix_file_larger_than_its_body(tmp_path, capsys, header):
+    (tmp_path / "h.txt").write_text(f"{header}\n0\n")
+    cfg = base_config(system={"dim": 1}, hamiltonian={"matrix_file": "h.txt"},
+                      initial_state="maximally_mixed")
+    code, _, _ = run_simulate(tmp_path, cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: hamiltonian.matrix_file:")
+
+
+def _evolution(t, **distribution):
+    return {"t": t, "epsilon": 0.01, "distribution": distribution}
+
+
+OVERFLOWING_RUNS = {
+    # sigma2 * t is 1e310
+    "levy": ("simulate", {"evolution": _evolution(1e10, kind="levy", sigma2=1e300)},
+             "evolution.distribution"),
+    # the phase at gap 2 is 2e308
+    "dirac": ("simulate", {"evolution": _evolution(1.0, kind="dirac", location=1e308)},
+              "evolution.distribution"),
+    "pauli": ("simulate", {"hamiltonian": {"pauli": ["1e308 Z", "1e308 Z"]}},
+              "hamiltonian.pauli"),
+    "compound": ("simulate", {"evolution": _evolution(1.0, kind="compound_poisson",
+                                                      base={"kind": "dirac", "location": 1e308}),
+                              "sampler": {"shots": 100, "seed": 1}},
+                 "evolution.distribution"),
+    # the outcome spread 1/(2 sqrt(t)) is 5e159, and its square overflows
+    "qpe": ("qpe", {"evolution": _evolution(1e-320, kind="gaussian"),
+                    "sampler": {"shots": 100, "seed": 1}},
+            "evolution.t"),
+}
+
+
+@pytest.mark.parametrize("command,updates,key", OVERFLOWING_RUNS.values(),
+                         ids=OVERFLOWING_RUNS.keys())
+def test_overflow_is_named_and_nothing_non_finite_is_written(tmp_path, capsys,
+                                                             command, updates, key):
+    cfg = base_config(outputs={"state": "state.txt", "metrics": "metrics.csv"}, **updates)
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key}:")
+    assert captured.out == ""
+    assert not (tmp_path / "state.txt").exists()
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_simulate_rejects_json_nan_token(tmp_path, capsys):

@@ -91,3 +91,12 @@ def test_non_finite_entry_reports_line_and_column():
             parse_matrix_text(f"2 2\n1+0j 0+0j\n0+0j {token}\n")
         assert (err.value.line, err.value.column) == (3, 2)
         assert "not finite" in str(err.value)
+
+
+@pytest.mark.parametrize("cols", ["100000000000", "10000000000000000000"])
+def test_header_size_is_checked_against_the_body_before_allocation(cols):
+    # a 1 x 10^11 complex matrix is 1.46 TiB; 10^19 exceeds numpy's largest dimension
+    with pytest.raises(ParseError) as err:
+        parse_matrix_text(f"1 {cols}\n0\n")
+    assert err.value.line == 2
+    assert f"expected {cols} entries, found 1" in str(err.value)
