@@ -20,7 +20,6 @@ from .channels import (
     check_density_matrix,
     choi_of_schur,
     choi_of_superoperator,
-    choi_of_unitary,
     choi_trace_distance,
     cptp_check,
     maximally_mixed,
@@ -28,7 +27,6 @@ from .channels import (
     plus_state,
     random_density_matrix,
     superoperator_of_schur,
-    superoperator_of_unitary,
 )
 from .config import (
     RunConfig,

@@ -169,12 +169,6 @@ def apply_schur(m: SchurMultiplier, rho) -> np.ndarray:
 # superoperators and Choi matrices
 # ---------------------------------------------------------------------------
 
-def superoperator_of_unitary(u) -> np.ndarray:
-    """Superoperator of rho -> u rho u^dag acting on vec(rho)."""
-    u = require_square(u)
-    return np.kron(u, u.conj())
-
-
 def superoperator_of_schur(m: SchurMultiplier) -> np.ndarray:
     u = m.eigenbasis
     w = np.kron(u, u.conj())
@@ -219,12 +213,6 @@ def choi_of_schur(m: SchurMultiplier) -> np.ndarray:
     d = m.dim
     w = np.einsum("ip,ap->iap", v.conj(), v).reshape(d * d, d)
     return w @ m.multiplier @ w.conj().T
-
-
-def choi_of_unitary(u) -> np.ndarray:
-    """Choi matrix of conjugation by u, the rank-one form w w^dag with w = vec(u^T)."""
-    w = vec(require_square(u).T)
-    return np.outer(w, w.conj())
 
 
 def apply_choi(choi, rho) -> np.ndarray:

@@ -59,12 +59,16 @@ def _fmt(value) -> str:
     return format_float(value)
 
 
+def _write_rows(stream, header: list[str], rows: list[list]) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        _write_rows(fh, header, rows)
 
 
 def _run_config(args) -> RunConfig:
@@ -118,6 +122,10 @@ def cmd_simulate(args) -> int:
             empirical, ledger = estimate_compound_channel(
                 cfg.hamiltonian, law.base, cfg.t, cfg.shots, cfg.seed)
             mode, s_cut, tv = "sampled_compound", None, None
+        if not (np.isfinite(empirical.multiplier).all() and math.isfinite(ledger.total_time)):
+            raise ConfigError("evolution.distribution",
+                              f"the sampled {type(law).__name__} times or their total "
+                              "cost overflow")
         final_state = empirical.apply(cfg.initial_state)
         # both multipliers live in the eigenbasis of cfg.hamiltonian, and the map
         # from a multiplier to its Choi matrix is an isometry, so the d x d trace
@@ -144,34 +152,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ts = _flag_list(args.ts, "--ts", float, lambda t: 0.0 < t < math.inf,
-                    "a finite number > 0")
+    ts = _flag_list(args.ts, "--ts", float, lambda t: sys.float_info.min <= t < math.inf,
+                    f"a finite number >= {sys.float_info.min!r}")
     epsilons = _flag_list(args.epsilons, "--epsilons", float, lambda e: 0.0 < e < 1.0,
                           "a number in (0, 1)")
     if not 1 <= args.draws <= MAX_SHOTS:
         raise ConfigError("--draws", f"must be in [1, {MAX_SHOTS}], got {args.draws}")
     rows = []
     for eps in epsilons:
-        table = scaling_table(ts, eps)
-        for t, s_cut, _ in table:
+        for t, s_cut, ratio in scaling_table(ts, eps):
             if not math.isfinite(s_cut):
                 raise ConfigError("--ts", f"the window S overflows at t={t:g}, epsilon={eps:g}")
-        ratios = [row[2] for row in table]
-        spread = max(ratios) - min(ratios)
-        if spread > 1e-12:
-            print(f"error: S/sqrt(t) not constant at epsilon={eps}: spread {spread:.3e}",
-                  file=sys.stderr)
-            return 1
-        for (t, s_cut, ratio) in table:
-            mean_cost = mean_sampled_cost(t, eps, args.draws, args.seed)
-            rows.append([t, eps, s_cut, ratio, mean_cost])
+            rows.append([t, eps, s_cut, ratio, mean_sampled_cost(t, eps, args.draws, args.seed)])
     if args.csv_out:
         _write_csv(args.csv_out, BENCH_HEADER, rows)
         print(f"wrote {args.csv_out}")
     else:
-        print(",".join(BENCH_HEADER))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+        _write_rows(sys.stdout, BENCH_HEADER, rows)
     return 0
 
 

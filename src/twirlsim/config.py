@@ -138,13 +138,13 @@ def _build_base_law(node, location: str):
                       f"base law must be dirac, mixture or gaussian, got {kind!r}")
 
 
-def build_distribution(node: dict, t: float, epsilon: float,
-                       location: str = "evolution.distribution") -> DistributionSpec:
+def build_distribution(node: dict, t: float, epsilon: float) -> DistributionSpec:
     """Concrete law for evolution time t from its config description.
 
     Time-scalable families (gaussian, truncated_gaussian, compound_poisson,
     levy) absorb t; dirac and mixture are fixed laws applied as given.
     """
+    location = "evolution.distribution"
     node = _expect_mapping(node, location)
     kind = node.get("kind")
     if kind is None:

@@ -24,7 +24,6 @@ from .sampling import QPE_STREAMS, derived_rng
 class QpeRun:
     """One estimation run for a single eigenvalue."""
 
-    t: float
     true_lambda: float
     estimate: float
     stderr: float
@@ -67,7 +66,7 @@ def estimate_lambda(h, eigen_index: int, t: float, shots: int, seed: int) -> Qpe
     samples = sample_k(lam, t, rng, size=shots)
     estimate = float(-samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(shots))
-    return QpeRun(t=float(t), true_lambda=lam, estimate=estimate, stderr=stderr)
+    return QpeRun(true_lambda=lam, estimate=estimate, stderr=stderr)
 
 
 def resolve_spectrum(h, t: float, shots: int, seed: int) -> list[QpeRun]:

@@ -59,23 +59,23 @@ def parse_matrix_text(text: str) -> np.ndarray:
         raise ParseError(f"header fields must be integers, got {lines[0]!r}", 1) from None
     if rows <= 0 or cols <= 0:
         raise ParseError(f"matrix dimensions must be positive, got {rows} x {cols}", 1)
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != rows:
         raise ParseError(f"expected {rows} data rows, found {len(body)}")
     parsed = []
-    for r, line in enumerate(body):
+    for line_no, line in body:
         fields = line.split()
         if len(fields) != cols:
-            raise ParseError(f"expected {cols} entries, found {len(fields)}", r + 2)
+            raise ParseError(f"expected {cols} entries, found {len(fields)}", line_no)
         values = []
         for c, token in enumerate(fields):
             try:
                 value = complex(token)
             except ValueError:
                 raise ParseError(f"entry {token!r} is not a complex number",
-                                 r + 2, c + 1) from None
+                                 line_no, c + 1) from None
             if not cmath.isfinite(value):
-                raise ParseError(f"entry {token!r} is not finite", r + 2, c + 1)
+                raise ParseError(f"entry {token!r} is not finite", line_no, c + 1)
             values.append(value)
         parsed.append(values)
     # built only now, so the header's size is never allocated before the body holds it

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -177,17 +178,27 @@ class ShotPlan:
 
 @dataclass(frozen=True)
 class CostLedger:
-    """Per-shot simulated-time costs and their exact total.
+    """Per-shot simulated-time costs and a per-shot bound.
 
-    total_time is the exactly rounded sum (math.fsum) of per_shot_times.
     worst_case is the a-priori per-shot bound when one exists (the truncation
-    window), otherwise the realized maximum.
+    window), otherwise the realized maximum. The shot count and the total are
+    derived from per_shot_times.
     """
 
     per_shot_times: np.ndarray
-    total_time: float
     worst_case: float
-    shots: int
+
+    @property
+    def shots(self) -> int:
+        return self.per_shot_times.size
+
+    @cached_property
+    def total_time(self) -> float:
+        """The correctly rounded sum of the (nonnegative) costs: inf past the largest double."""
+        try:
+            return math.fsum(self.per_shot_times)
+        except OverflowError:  # fsum raises where the rounded sum is inf
+            return math.inf
 
 
 def empirical_channel(h, times) -> SchurMultiplier:
@@ -223,9 +234,7 @@ def estimate_channel(h, plan: ShotPlan) -> tuple[SchurMultiplier, CostLedger]:
         sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, c),
                                 size=min(CHUNK_SHOTS, plan.shots - start))
         for c, start in enumerate(range(0, plan.shots, CHUNK_SHOTS))])
-    costs = np.abs(times)
-    ledger = CostLedger(per_shot_times=costs, total_time=math.fsum(costs),
-                        worst_case=plan.cutoff, shots=plan.shots)
+    ledger = CostLedger(per_shot_times=np.abs(times), worst_case=plan.cutoff)
     return empirical_channel(h, times), ledger
 
 
@@ -252,10 +261,7 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
     evolution), whose expectation is t * E|X_1| for every base law. At
     t = 0 no shot has a jump, so no stream is drawn.
     """
-    t = float(t)
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    CompoundPoisson(rate=t, base=base)
+    t = CompoundPoisson(rate=float(t), base=base).rate
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -265,8 +271,7 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
         for i in range(shots):
             kicks = compound_poisson_kicks(t, base, derived_rng(seed, i))
             times[i], costs[i] = kicks.sum(), np.abs(kicks).sum()
-    ledger = CostLedger(per_shot_times=costs, total_time=math.fsum(costs),
-                        worst_case=float(costs.max()), shots=shots)
+    ledger = CostLedger(per_shot_times=costs, worst_case=float(costs.max()))
     return empirical_channel(h, times), ledger
 
 

@@ -15,7 +15,6 @@ from twirlsim import (
     check_choi,
     check_density_matrix,
     choi_of_superoperator,
-    choi_of_unitary,
     choi_trace_distance,
     cptp_check,
     eig_hermitian,
@@ -24,7 +23,6 @@ from twirlsim import (
     plus_state,
     random_density_matrix,
     superoperator_of_schur,
-    superoperator_of_unitary,
     trace_norm,
     vec,
 )
@@ -130,14 +128,6 @@ def test_choi_of_identity_superoperator():
     choi = choi_of_superoperator(np.eye(4))
     assert np.array_equal(choi, expected)
     assert abs(choi.trace() - d) < 1e-15
-
-
-def test_choi_of_unitary_matches_definition():
-    for _ in range(5):
-        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        u = np.linalg.qr(h)[0]
-        via_super = choi_of_superoperator(superoperator_of_unitary(u))
-        assert np.abs(choi_of_unitary(u) - via_super).max() < 1e-12
 
 
 def test_choi_cptp_structure():

@@ -11,6 +11,7 @@ import pytest
 
 from twirlsim import (
     ConfigError,
+    CPTPWarning,
     Dirac,
     Gaussian,
     HermitianOperator,
@@ -500,6 +501,23 @@ def test_overflow_is_named_and_nothing_non_finite_is_written(tmp_path, capsys,
     assert not (tmp_path / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("t", [1.0, 3.0])
+def test_sampled_compound_overflow_is_named_before_apply(tmp_path, capsys, recwarn, t):
+    # the exact multiplier is finite at gaps of 2e-300, but two 1e308 kicks sum to inf
+    (tmp_path / "h.txt").write_text("2 2\n1e-300+0j 0+0j\n0+0j -1e-300+0j\n")
+    cfg = base_config(system={"dim": 2}, hamiltonian={"matrix_file": "h.txt"},
+                      evolution=_evolution(t, kind="compound_poisson",
+                                           base={"kind": "dirac", "location": 1e308}),
+                      sampler={"shots": 100, "seed": 1})
+    code, state_path, metrics_path = run_simulate(tmp_path, cfg)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: evolution.distribution:")
+    assert captured.out == ""
+    assert not any(issubclass(w.category, CPTPWarning) for w in recwarn)
+    assert not state_path.exists() and not metrics_path.exists()
+
+
 def test_simulate_rejects_json_nan_token(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(base_config()).replace('"epsilon": 0.01', '"epsilon": NaN'))
@@ -577,6 +595,15 @@ def test_bench_stdout_and_csv(tmp_path, capsys):
     assert "S_over_sqrt_t" in capsys.readouterr().out
 
 
+def test_bench_stdout_is_its_csv_file(tmp_path, capsys):
+    argv = ["bench", "--ts", "1e-300,1,7", "--epsilons", "0.01,0.3", "--draws", "50"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    csv_path = tmp_path / "bench.csv"
+    assert main([*argv, "--csv-out", str(csv_path)]) == 0
+    assert csv_path.read_bytes() == stdout.encode()
+
+
 def test_qpe_runs_and_writes_csv(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     csv_path = tmp_path / "qpe.csv"
@@ -615,6 +642,9 @@ BAD_FLAGS = [
     (["verify", "--dims", ","], "--dims"),
     (["verify", "--dims", str(MAX_VERIFY_DIM + 1)], "--dims"),
     (["verify", "--dims", "2", "--trials", "0"], "--trials"),
+    # subnormal times: S / sqrt(t) loses digits there
+    (["bench", "--ts", "1e-320", "--draws", "10"], "--ts"),
+    (["bench", "--ts", "1e-320,1", "--draws", "10"], "--ts"),
 ]
 
 

@@ -85,6 +85,17 @@ def test_bad_entry_reports_line_and_column():
     assert "'oops'" in str(err.value)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("2 2\n\n1+0j oops\n0 0\n", 3),
+    ("2 2\n1+0j 0+0j\n\n\n0+0j oops\n", 5),
+    ("\n".join(["2 2", "", "1 0", "", "0"]) + "\n", 5),
+], ids=["bad-entry-after-blank", "bad-entry-after-two-blanks", "short-row-after-blanks"])
+def test_error_line_counts_blank_lines(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_matrix_text(text)
+    assert err.value.line == line
+
+
 def test_non_finite_entry_reports_line_and_column():
     for token in ("nan+0j", "1+infj", "-inf+0j"):
         with pytest.raises(ParseError) as err:

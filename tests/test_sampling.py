@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -20,7 +21,6 @@ from twirlsim import (
     TruncatedGaussian,
     choi_of_schur,
     choi_of_superoperator,
-    choi_of_unitary,
     choi_trace_distance,
     cutoff,
     derived_rng,
@@ -230,7 +230,7 @@ def test_shot_plan_derives_cutoff():
 
 def test_estimate_channel_single_zero_shot_is_identity_choi():
     emp = empirical_channel(Z, [0.0])
-    assert np.abs(emp.choi - choi_of_unitary(np.eye(2))).max() < 1e-15
+    assert np.abs(emp.choi - choi_of_superoperator(np.eye(4))).max() < 1e-15
 
 
 def test_empirical_channel_rejects_empty_or_nested_times():
@@ -248,6 +248,14 @@ def test_estimate_channel_ledger_and_trace():
     assert ledger.per_shot_times.max() <= ledger.worst_case + 1e-15
     assert ledger.worst_case == plan.cutoff
     assert ledger.total_time == math.fsum(ledger.per_shot_times)
+
+
+def test_cost_ledger_stores_costs_and_bound_and_derives_the_rest():
+    assert [f.name for f in dataclasses.fields(CostLedger)] == ["per_shot_times", "worst_case"]
+    ledger = CostLedger(per_shot_times=np.full(4, 1e308), worst_case=1e308)
+    assert ledger.shots == 4
+    # the exact sum 4e308 exceeds the largest double, so inf is its rounding
+    assert ledger.total_time == math.inf
 
 
 def test_estimate_channel_reproducible_and_thread_invariant():
@@ -573,7 +581,7 @@ def test_compound_poisson_kicks_moments():
 
 def test_estimate_compound_channel_dirac_pi_identity():
     emp, ledger = estimate_compound_channel(Z, Dirac(math.pi), t=1.0, shots=20_000, seed=4)
-    identity = choi_of_unitary(np.eye(2))
+    identity = choi_of_superoperator(np.eye(4))
     assert choi_trace_distance(emp.choi, identity) <= 0.02
     # each kick costs pi, so the mean cost tracks t * E|X| = pi
     mean_cost = ledger.total_time / ledger.shots
@@ -630,7 +638,7 @@ def test_estimate_compound_channel_at_rate_1000():
 
 def test_estimate_compound_channel_zero_time():
     emp, ledger = estimate_compound_channel(Z, Dirac(1.0), t=0.0, shots=50, seed=2)
-    assert np.abs(emp.choi - choi_of_unitary(np.eye(2))).max() < 1e-15
+    assert np.abs(emp.choi - choi_of_superoperator(np.eye(4))).max() < 1e-15
     assert ledger.total_time == 0.0
 
 
