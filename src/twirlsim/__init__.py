@@ -14,7 +14,6 @@ from .channels import (
     SchurMultiplier,
     apply_choi,
     apply_schur,
-    apply_superoperator,
     basis_state,
     check_choi,
     check_density_matrix,
@@ -23,7 +22,6 @@ from .channels import (
     choi_trace_distance,
     cptp_check,
     maximally_mixed,
-    partial_trace_output,
     plus_state,
     random_density_matrix,
     superoperator_of_schur,
@@ -87,7 +85,6 @@ from .sampling import (
     tv_exact,
 )
 from .twirling import (
-    commuting_generator_oracle,
     dissipator_matrix,
     exact_channel,
     gaussian_evolution,

@@ -20,7 +20,6 @@ from .linalg import (
     hermiticity_defect,
     require_square,
     trace_norm,
-    unvec,
     vec,
 )
 
@@ -175,31 +174,14 @@ def superoperator_of_schur(m: SchurMultiplier) -> np.ndarray:
     return (w * vec(m.multiplier)) @ w.conj().T
 
 
-def apply_superoperator(s, rho) -> np.ndarray:
-    rho = require_square(rho)
-    d = rho.shape[0]
-    s = as_complex_matrix(s)
-    if s.shape != (d * d, d * d):
-        raise ShapeError(f"superoperator shape {s.shape} does not match dimension {d}")
-    return unvec(s @ vec(rho), d)
-
-
 def choi_of_superoperator(s) -> np.ndarray:
-    """Unnormalized Choi matrix, assembled by applying s to each matrix unit."""
+    """Unnormalized Choi matrix by index reordering: J[i d + a, j d + b] = s[a d + b, i d + j]."""
     s = require_square(s)
     d2 = s.shape[0]
     d = int(round(d2 ** 0.5))
     if d * d != d2:
         raise ShapeError(f"superoperator dimension {d2} is not a perfect square")
-    choi = np.zeros((d2, d2), dtype=np.complex128)
-    unit = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            unit[i, j] = 1.0
-            image = unvec(s @ vec(unit), d)
-            choi[i * d:(i + 1) * d, j * d:(j + 1) * d] = image
-            unit[i, j] = 0.0
-    return choi
+    return s.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d2, d2)
 
 
 def choi_of_schur(m: SchurMultiplier) -> np.ndarray:
@@ -215,23 +197,19 @@ def choi_of_schur(m: SchurMultiplier) -> np.ndarray:
     return w @ m.multiplier @ w.conj().T
 
 
+def _choi_blocks(choi, d: int) -> np.ndarray:
+    """A d^2 x d^2 Choi matrix as its (d, d, d, d) view J[i, a, j, b] = <i a|J|j b>."""
+    j = as_complex_matrix(choi)
+    if j.shape != (d * d, d * d):
+        raise ShapeError(f"Choi shape {j.shape} does not match dimension {d}")
+    return j.reshape(d, d, d, d)
+
+
 def apply_choi(choi, rho) -> np.ndarray:
     """Evaluate the channel encoded by an unnormalized Choi matrix on rho."""
     rho = require_square(rho)
-    d = rho.shape[0]
-    j = as_complex_matrix(choi)
-    if j.shape != (d * d, d * d):
-        raise ShapeError(f"Choi shape {j.shape} does not match dimension {d}")
-    blocks = j.reshape(d, d, d, d)
+    blocks = _choi_blocks(choi, rho.shape[0])
     return np.einsum("ij,iajb->ab", rho, blocks)
-
-
-def partial_trace_output(choi, d: int) -> np.ndarray:
-    """Trace out the second (output) tensor factor of an unnormalized Choi matrix."""
-    j = as_complex_matrix(choi)
-    if j.shape != (d * d, d * d):
-        raise ShapeError(f"Choi shape {j.shape} does not match dimension {d}")
-    return np.einsum("iaja->ij", j.reshape(d, d, d, d))
 
 
 @dataclass(frozen=True)
@@ -243,9 +221,10 @@ class ChoiReport:
 
 
 def check_choi(choi, d: int) -> ChoiReport:
-    j = as_complex_matrix(choi)
+    blocks = _choi_blocks(choi, d)
+    j = blocks.reshape(d * d, d * d)
     min_eig = float(np.linalg.eigvalsh((j + j.conj().T) / 2.0).min())
-    tp_dev = float(np.abs(partial_trace_output(j, d) - np.eye(d)).max())
+    tp_dev = float(np.abs(np.einsum("iaja->ij", blocks) - np.eye(d)).max())
     return ChoiReport(is_psd=min_eig >= CP_EIG_TOL, min_eigenvalue=min_eig,
                       trace=complex(j.trace()), tp_deviation=tp_dev)
 

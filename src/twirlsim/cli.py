@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from .config import RunConfig, load_config_file, parse_config
+from .config import RunConfig, load_config_file, parse_config, resolve_output_path
 from .cvqpe import estimate_lambda, resolve_spectrum
 from .distributions import CompoundPoisson, Gaussian, TruncatedGaussian
 from .errors import ConfigError
@@ -158,6 +158,8 @@ def cmd_bench(args) -> int:
                           "a number in (0, 1)")
     if not 1 <= args.draws <= MAX_SHOTS:
         raise ConfigError("--draws", f"must be in [1, {MAX_SHOTS}], got {args.draws}")
+    if args.csv_out:
+        resolve_output_path(args.csv_out, "--csv-out", ".")
     rows = []
     for eps in epsilons:
         for t, s_cut, ratio in scaling_table(ts, eps):
@@ -173,6 +175,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_qpe(args) -> int:
+    if args.csv_out:
+        resolve_output_path(args.csv_out, "--csv-out", ".")
     cfg = _run_config(args)
     if cfg.seed is None:
         raise ConfigError("sampler.seed", "qpe needs a seed (flag or config)")

@@ -194,13 +194,15 @@ def _resolve_input_path(path_value, location: str, base_dir: str) -> str:
     return path
 
 
-def _resolve_output_path(path_value, location: str, base_dir: str) -> str:
+def resolve_output_path(path_value, location: str, base_dir: str) -> str:
     if not isinstance(path_value, str):
         raise ConfigError(location, f"expected a path string, got {path_value!r}")
     path = path_value if os.path.isabs(path_value) else os.path.join(base_dir, path_value)
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(location, f"output directory does not exist: {parent}")
+    if os.path.isdir(path):
+        raise ConfigError(location, f"output path is a directory: {path}")
     return path
 
 
@@ -350,13 +352,13 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
         outputs = _expect_mapping(data["outputs"], "outputs")
         _reject_unknown(outputs, {"state", "metrics"}, "outputs")
         if "state" in outputs:
-            state_out = _resolve_output_path(outputs["state"], "outputs.state", base_dir)
+            state_out = resolve_output_path(outputs["state"], "outputs.state", base_dir)
         if "metrics" in outputs:
-            metrics_out = _resolve_output_path(outputs["metrics"], "outputs.metrics", base_dir)
+            metrics_out = resolve_output_path(outputs["metrics"], "outputs.metrics", base_dir)
     if "state_out" in overrides:
-        state_out = _resolve_output_path(overrides["state_out"], "outputs.state", ".")
+        state_out = resolve_output_path(overrides["state_out"], "outputs.state", ".")
     if "metrics_out" in overrides:
-        metrics_out = _resolve_output_path(overrides["metrics_out"], "outputs.metrics", ".")
+        metrics_out = resolve_output_path(overrides["metrics_out"], "outputs.metrics", ".")
 
     return RunConfig(hamiltonian=hamiltonian,
                      initial_state=state, t=t, epsilon=epsilon, law=law,

@@ -73,23 +73,6 @@ def vectorized_oracle(h, rho, t: float) -> np.ndarray:
     return unvec(out, op.dim)
 
 
-def commuting_generator_oracle(hams, rho, t: float) -> np.ndarray:
-    """exp(t sum_k L_k) rho via the joint generator sum_k (-K_k^2 / 2)."""
-    t = _require_time(t)
-    rho = require_square(rho)
-    ops = [as_operator(h) for h in hams]
-    if not ops:
-        return rho.copy()
-    d = ops[0].dim
-    gen = np.zeros((d * d, d * d), dtype=np.complex128)
-    for op in ops:
-        k = dissipator_matrix(op)
-        gen -= 0.5 * (k @ k)
-    w, v = np.linalg.eigh(gen)
-    out = v @ (np.exp(t * w) * (v.conj().T @ vec(rho)))
-    return unvec(out, d)
-
-
 def sequential_choi_commuting(hams, rho, t: float) -> np.ndarray:
     """Apply the Gaussian twirl for each Hamiltonian in turn.
 

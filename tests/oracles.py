@@ -1,0 +1,60 @@
+"""Reference routes that only the tests call.
+
+Each works on a d^2 x d^2 object that the package itself never needs: the
+superoperator action, the joint-generator exponential for commuting jumps,
+the output partial trace of a Choi matrix, and the Choi matrix of an exact
+twirl assembled through its superoperator.
+"""
+
+import numpy as np
+
+from twirlsim import (
+    choi_of_superoperator,
+    dissipator_matrix,
+    exact_channel,
+    superoperator_of_schur,
+    unvec,
+    vec,
+)
+from twirlsim.errors import ShapeError
+from twirlsim.linalg import as_complex_matrix, as_operator, require_square
+from twirlsim.twirling import _require_time
+
+
+def apply_superoperator(s, rho) -> np.ndarray:
+    rho = require_square(rho)
+    d = rho.shape[0]
+    s = as_complex_matrix(s)
+    if s.shape != (d * d, d * d):
+        raise ShapeError(f"superoperator shape {s.shape} does not match dimension {d}")
+    return unvec(s @ vec(rho), d)
+
+
+def commuting_generator_oracle(hams, rho, t: float) -> np.ndarray:
+    """exp(t sum_k L_k) rho via the joint generator sum_k (-K_k^2 / 2)."""
+    t = _require_time(t)
+    rho = require_square(rho)
+    ops = [as_operator(h) for h in hams]
+    if not ops:
+        return rho.copy()
+    d = ops[0].dim
+    gen = np.zeros((d * d, d * d), dtype=np.complex128)
+    for op in ops:
+        k = dissipator_matrix(op)
+        gen -= 0.5 * (k @ k)
+    w, v = np.linalg.eigh(gen)
+    out = v @ (np.exp(t * w) * (v.conj().T @ vec(rho)))
+    return unvec(out, d)
+
+
+def partial_trace_output(choi, d: int) -> np.ndarray:
+    """Trace out the second (output) tensor factor of an unnormalized Choi matrix."""
+    j = as_complex_matrix(choi)
+    if j.shape != (d * d, d * d):
+        raise ShapeError(f"Choi shape {j.shape} does not match dimension {d}")
+    return np.einsum("iaja->ij", j.reshape(d, d, d, d))
+
+
+def choi_of(h, dist) -> np.ndarray:
+    """Choi matrix of the exact twirl of h by dist, through its superoperator."""
+    return choi_of_superoperator(superoperator_of_schur(exact_channel(h, dist)))

@@ -19,9 +19,7 @@ from twirlsim import (
     ShotPlan,
     TruncatedGaussian,
     char_minus,
-    choi_of_superoperator,
     choi_trace_distance,
-    commuting_generator_oracle,
     cptp_check,
     cutoff,
     estimate_channel,
@@ -38,12 +36,13 @@ from twirlsim import (
     scale_triplet,
     scaling_table,
     sequential_choi_commuting,
-    superoperator_of_schur,
     tv_bound,
     tv_exact,
     vectorized_oracle,
 )
 from twirlsim.matio import format_float
+
+from oracles import choi_of, commuting_generator_oracle
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -58,10 +57,6 @@ def report(number: int, name: str, passed: bool, detail: str, elapsed: float,
           f"({detail}; {elapsed:.2f}s of {budget:.0f}s budget)", flush=True)
     assert passed, f"criterion {number}: {detail}"
     assert in_budget, f"criterion {number}: took {elapsed:.2f}s, budget {budget}s"
-
-
-def choi_of(h, dist) -> np.ndarray:
-    return choi_of_superoperator(superoperator_of_schur(exact_channel(h, dist)))
 
 
 def test_criterion_01_oracle_equivalence():

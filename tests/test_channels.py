@@ -8,9 +8,9 @@ from twirlsim import (
     CPTPWarning,
     HermiticityError,
     SchurMultiplier,
+    ShapeError,
     apply_choi,
     apply_schur,
-    apply_superoperator,
     basis_state,
     check_choi,
     check_density_matrix,
@@ -19,13 +19,14 @@ from twirlsim import (
     cptp_check,
     eig_hermitian,
     maximally_mixed,
-    partial_trace_output,
     plus_state,
     random_density_matrix,
     superoperator_of_schur,
     trace_norm,
     vec,
 )
+
+from oracles import apply_superoperator, partial_trace_output
 
 rng = np.random.default_rng(7)
 
@@ -197,3 +198,30 @@ def test_schur_superoperator_matches_apply():
         direct = apply_schur(m, rho)
         via_super = apply_superoperator(superoperator_of_schur(m), rho)
     assert np.abs(direct - via_super).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_choi_of_superoperator_is_the_matrix_unit_definition(d):
+    # a random superoperator is no Schur multiplier, so every index of s is exercised
+    local = np.random.default_rng(100 + d)
+    s = local.normal(size=(d * d, d * d)) + 1j * local.normal(size=(d * d, d * d))
+    expected = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            expected[i * d:(i + 1) * d, j * d:(j + 1) * d] = apply_superoperator(s, unit)
+    assert np.array_equal(choi_of_superoperator(s), expected)
+
+
+def test_d4_layer_rejects_wrong_shapes():
+    with pytest.raises(ShapeError, match="not a perfect square"):
+        choi_of_superoperator(np.eye(3))
+    with pytest.raises(ShapeError, match="not a perfect square"):
+        choi_of_superoperator(np.eye(8))
+    with pytest.raises(ShapeError, match="does not match dimension 2"):
+        apply_choi(np.eye(9), PLUS)
+    with pytest.raises(ShapeError, match="does not match dimension 2"):
+        check_choi(np.eye(9), 2)
+    with pytest.raises(ShapeError, match="does not match dimension 3"):
+        check_choi(np.eye(4), 3)

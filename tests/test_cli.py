@@ -196,6 +196,18 @@ def test_parse_initial_state_variants(tmp_path):
     data["initial_state"] = {"preset": "unknown_thing"}
     with pytest.raises(ConfigError):
         parse_config(data, base_dir=str(tmp_path))
+    data["initial_state"] = {"file": "rho.txt"}
+    rho = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+    write_matrix(tmp_path / "rho.txt", rho)
+    assert np.array_equal(parse_config(data, base_dir=str(tmp_path)).initial_state, rho)
+    write_matrix(tmp_path / "rho.txt", np.eye(3) / 3)
+    with pytest.raises(ConfigError) as err:
+        parse_config(data, base_dir=str(tmp_path))
+    assert str(err.value).startswith("initial_state.file: state is 3 x 3, expected 2 x 2")
+    write_matrix(tmp_path / "rho.txt", np.diag([1.5, -0.5]))
+    with pytest.raises(ConfigError) as err:
+        parse_config(data, base_dir=str(tmp_path))
+    assert str(err.value).startswith("initial_state.file: density matrix has negative eigenvalue")
 
 
 def test_build_distribution_kinds():
@@ -206,6 +218,12 @@ def test_build_distribution_kinds():
     cp = build_distribution({"kind": "compound_poisson",
                              "base": {"kind": "dirac", "location": 2.0}}, 3.0, 0.1)
     assert cp == CompoundPoisson(rate=3.0, base=Dirac(2.0))
+    cp = build_distribution({"kind": "compound_poisson",
+                             "base": {"kind": "gaussian", "variance": 0.5}}, 3.0, 0.1)
+    assert cp == CompoundPoisson(rate=3.0, base=Gaussian(0.5))
+    with pytest.raises(ConfigError) as err:
+        build_distribution({"kind": "compound_poisson", "base": {"kind": "gaussian"}}, 3.0, 0.1)
+    assert str(err.value).startswith("evolution.distribution.base.variance:")
     with pytest.raises(ConfigError):
         build_distribution({"kind": "dirac"}, 1.0, 0.1)
     with pytest.raises(ConfigError):
@@ -245,13 +263,15 @@ def test_simulate_exact_gaussian(tmp_path):
 
 
 def test_simulate_zero_time_identity_round_trip(tmp_path):
-    cfg = base_config()
-    cfg["evolution"]["t"] = 0.0
-    code, state_path, _ = run_simulate(tmp_path, cfg)
-    assert code == 0
-    reference = tmp_path / "input.txt"
-    write_matrix(reference, plus_state(1))
-    assert state_path.read_bytes() == reference.read_bytes()
+    for distribution in ({"kind": "gaussian"}, {"kind": "truncated_gaussian", "cutoff": 1.0}):
+        cfg = base_config()
+        cfg["evolution"]["t"] = 0.0
+        cfg["evolution"]["distribution"] = distribution
+        code, state_path, _ = run_simulate(tmp_path, cfg)
+        assert code == 0
+        reference = tmp_path / "input.txt"
+        write_matrix(reference, plus_state(1))
+        assert state_path.read_bytes() == reference.read_bytes()
 
 
 def test_simulate_exact_dirac(tmp_path):
@@ -422,6 +442,14 @@ def test_simulate_truncated_gaussian_zero_time_names_key(tmp_path, capsys):
     code, _, _ = run_simulate(tmp_path, cfg, ["--t", "0"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: evolution.t:")
+    # the sampled gaussian laws need t > 0 even when the config parses
+    for distribution in ({"kind": "gaussian"}, {"kind": "truncated_gaussian", "cutoff": 1.0}):
+        cfg["evolution"]["distribution"] = distribution
+        code, state_path, _ = run_simulate(tmp_path, cfg, ["--t", "0", "--shots", "10",
+                                                           "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: evolution.t:")
+        assert not state_path.exists()
 
 
 def test_simulate_rejects_non_finite_pauli_coefficient(tmp_path, capsys):
@@ -561,6 +589,50 @@ def test_simulate_flag_overrides(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# output paths: checked before anything is computed, written or printed
+# ---------------------------------------------------------------------------
+
+def files_under(path):
+    return sorted(p.relative_to(path) for p in path.rglob("*"))
+
+
+@pytest.mark.parametrize("outputs,flags,key", [
+    ({"state": "taken", "metrics": "metrics.csv"}, [], "outputs.state"),
+    ({"state": "state.txt", "metrics": "taken"}, [], "outputs.metrics"),
+    ({"state": "absent/state.txt", "metrics": "metrics.csv"}, [], "outputs.state"),
+    ({}, ["--state-out", "{tmp}/taken", "--metrics-out", "{tmp}/metrics.csv"], "outputs.state"),
+    ({}, ["--state-out", "{tmp}/state.txt", "--metrics-out", "{tmp}/taken"], "outputs.metrics"),
+], ids=["state-dir", "metrics-dir", "missing-dir", "state-out-dir", "metrics-out-dir"])
+def test_simulate_bad_output_path_exits_2_before_writing(tmp_path, capsys, outputs, flags, key):
+    (tmp_path / "taken").mkdir()
+    path = write_config(tmp_path, base_config(sampler={"shots": 10, "seed": 1},
+                                              outputs=outputs))
+    before = files_under(tmp_path)
+    argv = ["simulate", "--config", path, *[f.format(tmp=tmp_path) for f in flags]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key}:")
+    assert captured.out == ""
+    assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["qpe", "bench"])
+@pytest.mark.parametrize("target", ["taken", "absent/out.csv"], ids=["dir", "missing-dir"])
+def test_bad_csv_out_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, command, target):
+    stand_in_samplers(monkeypatch)
+    monkeypatch.setattr(cli, "mean_sampled_cost", lambda *args: pytest.fail("bench drew"))
+    (tmp_path / "taken").mkdir()
+    path = write_config(tmp_path, base_config(sampler={"shots": 10, "seed": 1}))
+    before = files_under(tmp_path)
+    argv = ["qpe", "--config", path] if command == "qpe" else ["bench", "--draws", "10"]
+    assert main([*argv, "--csv-out", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --csv-out:")
+    assert captured.out == ""
+    assert files_under(tmp_path) == before
+
+
+# ---------------------------------------------------------------------------
 # verify, bench, qpe subcommands
 # ---------------------------------------------------------------------------
 
@@ -668,6 +740,10 @@ def test_qpe_single_index_and_validation(tmp_path, capsys):
                  "--eigen-index", "7"]) == 2
     assert main(["qpe", "--config", path, "--shots", "100"]) == 2
     capsys.readouterr()
+    for flags, key in [([], "sampler.seed"), (["--seed", "3"], "sampler.shots"),
+                       (["--shots", "100", "--seed", "3", "--t", "0"], "evolution.t")]:
+        assert main(["qpe", "--config", path, *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
 
 
 def test_qpe_eigen_index_draws_only_its_own_stream(tmp_path, capsys, monkeypatch):

@@ -49,6 +49,8 @@ from twirlsim.sampling import (
     mean_sampled_cost,
 )
 
+from oracles import choi_of
+
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 mp.mp.dps = 30
@@ -56,10 +58,6 @@ mp.mp.dps = 30
 
 def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def choi_of(h, dist) -> np.ndarray:
-    return choi_of_superoperator(superoperator_of_schur(exact_channel(h, dist)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from twirlsim import (
     LevyTriplet,
     TruncatedGaussian,
     char_minus,
-    commuting_generator_oracle,
     cptp_check,
     dissipator_matrix,
     exact_channel,
@@ -27,6 +26,8 @@ from twirlsim import (
     sequential_choi_commuting,
     vectorized_oracle,
 )
+
+from oracles import commuting_generator_oracle
 
 rng = np.random.default_rng(23)
 
