@@ -158,6 +158,10 @@ def cmd_bench(args) -> int:
                           "a number in (0, 1)")
     if not 1 <= args.draws <= MAX_SHOTS:
         raise ConfigError("--draws", f"must be in [1, {MAX_SHOTS}], got {args.draws}")
+    total = len(ts) * len(epsilons) * args.draws
+    if total > MAX_RUN_DRAWS:
+        raise ConfigError("--draws", f"{len(ts)} times x {len(epsilons)} epsilons x {args.draws} "
+                                     f"draws is {total}; at most {MAX_RUN_DRAWS:.0e} are allowed")
     if args.csv_out:
         resolve_output_path(args.csv_out, "--csv-out", ".")
     rows = []

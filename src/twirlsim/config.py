@@ -12,7 +12,10 @@ Example:
       "outputs": {"state": "state.txt", "metrics": "metrics.csv"}
     }
 
-Every validation failure raises ConfigError with the offending key path.
+Each section is read by one call that rejects unknown keys and names a
+missing one. A flag replaces its file value before that value is validated;
+the state and metrics outputs must be different files. Every validation
+failure raises ConfigError with the offending key path.
 """
 
 from __future__ import annotations
@@ -63,10 +66,16 @@ def _expect_mapping(node, location: str) -> dict:
     return node
 
 
-def _reject_unknown(node: dict, allowed: set[str], location: str) -> None:
+def _mapping(node, location: str, allowed: set[str], required=()) -> dict:
+    """node as an object whose keys are all allowed and include every required one."""
+    node = _expect_mapping(node, location)
     unknown = set(node) - allowed
     if unknown:
         raise ConfigError(location, f"unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in node:
+            raise ConfigError(key if location == "config" else f"{location}.{key}", "missing")
+    return node
 
 
 def _number(node, location: str) -> float:
@@ -122,17 +131,13 @@ def _build_base_law(node, location: str):
     node = _expect_mapping(node, location)
     kind = node.get("kind")
     if kind == "dirac":
-        _reject_unknown(node, {"kind", "location"}, location)
-        if "location" not in node:
-            raise ConfigError(f"{location}.location", "missing")
+        _mapping(node, location, {"kind", "location"}, required=("location",))
         return Dirac(location=_number(node["location"], f"{location}.location"))
     if kind == "mixture":
-        _reject_unknown(node, {"kind", "atoms"}, location)
+        _mapping(node, location, {"kind", "atoms"})
         return FiniteMixture(atoms=_atom_pairs(node.get("atoms"), f"{location}.atoms"))
     if kind == "gaussian":
-        _reject_unknown(node, {"kind", "variance"}, location)
-        if "variance" not in node:
-            raise ConfigError(f"{location}.variance", "missing")
+        _mapping(node, location, {"kind", "variance"}, required=("variance",))
         return Gaussian(variance=_number(node["variance"], f"{location}.variance"))
     raise ConfigError(f"{location}.kind",
                       f"base law must be dirac, mixture or gaussian, got {kind!r}")
@@ -151,10 +156,10 @@ def build_distribution(node: dict, t: float, epsilon: float) -> DistributionSpec
         raise ConfigError(f"{location}.kind", "missing")
     try:
         if kind == "gaussian":
-            _reject_unknown(node, {"kind"}, location)
+            _mapping(node, location, {"kind"})
             return Gaussian(variance=t)
         if kind == "truncated_gaussian":
-            _reject_unknown(node, {"kind", "cutoff"}, location)
+            _mapping(node, location, {"kind", "cutoff"})
             if "cutoff" in node:
                 s_cut = _number(node["cutoff"], f"{location}.cutoff")
             elif t > 0.0:
@@ -166,11 +171,11 @@ def build_distribution(node: dict, t: float, epsilon: float) -> DistributionSpec
         if kind in ("dirac", "mixture"):
             return _build_base_law(node, location)
         if kind == "compound_poisson":
-            _reject_unknown(node, {"kind", "base"}, location)
+            _mapping(node, location, {"kind", "base"})
             base = _build_base_law(node.get("base"), f"{location}.base")
             return CompoundPoisson(rate=t, base=base)
         if kind == "levy":
-            _reject_unknown(node, {"kind", "sigma2", "gamma", "atoms", "compensated"}, location)
+            _mapping(node, location, {"kind", "sigma2", "gamma", "atoms", "compensated"})
             sigma2 = _number(node.get("sigma2", 0.0), f"{location}.sigma2")
             gamma = _number(node.get("gamma", 0.0), f"{location}.gamma")
             atoms = _atom_pairs(node["atoms"], f"{location}.atoms") if "atoms" in node else []
@@ -207,8 +212,7 @@ def resolve_output_path(path_value, location: str, base_dir: str) -> str:
 
 
 def _build_hamiltonian(node, dim: int, qubits: int | None, base_dir: str) -> HermitianOperator:
-    node = _expect_mapping(node, "hamiltonian")
-    _reject_unknown(node, {"pauli", "matrix_file"}, "hamiltonian")
+    node = _mapping(node, "hamiltonian", {"pauli", "matrix_file"})
     if ("pauli" in node) == ("matrix_file" in node):
         raise ConfigError("hamiltonian", "give exactly one of 'pauli' or 'matrix_file'")
     if "pauli" in node:
@@ -238,8 +242,7 @@ def _build_initial_state(node, dim: int, base_dir: str) -> np.ndarray:
         node = {"preset": node}
     if isinstance(node, int) and not isinstance(node, bool):
         node = {"basis": node}
-    node = _expect_mapping(node, "initial_state")
-    _reject_unknown(node, {"preset", "basis", "file"}, "initial_state")
+    node = _mapping(node, "initial_state", {"preset", "basis", "file"})
     given = [k for k in ("preset", "basis", "file") if k in node]
     if len(given) != 1:
         raise ConfigError("initial_state", "give exactly one of 'preset', 'basis' or 'file'")
@@ -279,18 +282,16 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
     """Validate a configuration mapping into a RunConfig.
 
     overrides maps flat keys (t, epsilon, shots, seed, state_out, metrics_out)
-    to values that win over the file contents. A None value, or any other
-    key, is ignored, so a command's parsed flags can be passed as they are.
+    to values that replace the file's values before those are validated, so a
+    flag's file value is never read. A None value, or any other key, is
+    ignored, so a command's parsed flags can be passed as they are.
     """
-    data = _expect_mapping(data, "config")
+    data = _mapping(data, "config", {"system", "hamiltonian", "initial_state", "evolution",
+                                     "sampler", "outputs"},
+                    required=("system", "hamiltonian", "initial_state", "evolution"))
     overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
-    _reject_unknown(data, {"system", "hamiltonian", "initial_state", "evolution",
-                           "sampler", "outputs"}, "config")
 
-    system = _expect_mapping(data.get("system"), "system") if "system" in data else None
-    if system is None:
-        raise ConfigError("system", "missing")
-    _reject_unknown(system, {"qubits", "dim"}, "system")
+    system = _mapping(data["system"], "system", {"qubits", "dim"})
     if ("qubits" in system) == ("dim" in system):
         raise ConfigError("system", "give exactly one of 'qubits' or 'dim'")
     if "qubits" in system:
@@ -304,21 +305,11 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
         if dim < 1:
             raise ConfigError("system.dim", f"must be >= 1, got {dim}")
 
-    if "hamiltonian" not in data:
-        raise ConfigError("hamiltonian", "missing")
     hamiltonian = _build_hamiltonian(data["hamiltonian"], dim, qubits, base_dir)
-
-    if "initial_state" not in data:
-        raise ConfigError("initial_state", "missing")
     state = _build_initial_state(data["initial_state"], dim, base_dir)
 
-    if "evolution" not in data:
-        raise ConfigError("evolution", "missing")
-    evolution = _expect_mapping(data["evolution"], "evolution")
-    _reject_unknown(evolution, {"t", "epsilon", "distribution"}, "evolution")
-    for key in ("t", "epsilon", "distribution"):
-        if key not in evolution:
-            raise ConfigError(f"evolution.{key}", "missing")
+    evolution = _mapping(data["evolution"], "evolution", {"t", "epsilon", "distribution"},
+                         required=("t", "epsilon", "distribution"))
     t = _number(overrides.get("t", evolution["t"]), "evolution.t")
     epsilon = _number(overrides.get("epsilon", evolution["epsilon"]), "evolution.epsilon")
     if t < 0.0:
@@ -327,19 +318,10 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
         raise ConfigError("evolution.epsilon", f"must be in (0, 1), got {epsilon}")
     law = build_distribution(evolution["distribution"], t, epsilon)
 
-    shots = None
-    seed = None
-    if "sampler" in data:
-        sampler = _expect_mapping(data["sampler"], "sampler")
-        _reject_unknown(sampler, {"shots", "seed"}, "sampler")
-        if "shots" in sampler:
-            shots = _integer(sampler["shots"], "sampler.shots")
-        if "seed" in sampler:
-            seed = _integer(sampler["seed"], "sampler.seed")
-    if "shots" in overrides:
-        shots = int(overrides["shots"])
-    if "seed" in overrides:
-        seed = int(overrides["seed"])
+    sampler = {**_mapping(data.get("sampler", {}), "sampler", {"shots", "seed"}),
+               **{key: overrides[key] for key in ("shots", "seed") if key in overrides}}
+    shots = _integer(sampler["shots"], "sampler.shots") if "shots" in sampler else None
+    seed = _integer(sampler["seed"], "sampler.seed") if "seed" in sampler else None
     if shots is not None and shots < 1:
         raise ConfigError("sampler.shots", f"must be >= 1, got {shots}")
     if shots is not None and shots > MAX_SHOTS:
@@ -347,18 +329,16 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
     if shots is not None and seed is None:
         raise ConfigError("sampler.seed", "sampled runs need a seed")
 
-    state_out = metrics_out = None
-    if "outputs" in data:
-        outputs = _expect_mapping(data["outputs"], "outputs")
-        _reject_unknown(outputs, {"state", "metrics"}, "outputs")
-        if "state" in outputs:
-            state_out = resolve_output_path(outputs["state"], "outputs.state", base_dir)
-        if "metrics" in outputs:
-            metrics_out = resolve_output_path(outputs["metrics"], "outputs.metrics", base_dir)
-    if "state_out" in overrides:
-        state_out = resolve_output_path(overrides["state_out"], "outputs.state", ".")
-    if "metrics_out" in overrides:
-        metrics_out = resolve_output_path(overrides["metrics_out"], "outputs.metrics", ".")
+    # a flag's path is relative to the working directory, a file's to the config's
+    outputs = _mapping(data.get("outputs", {}), "outputs", {"state", "metrics"})
+    state_out, metrics_out = (
+        resolve_output_path(overrides[f"{key}_out"], f"outputs.{key}", ".")
+        if f"{key}_out" in overrides else
+        resolve_output_path(outputs[key], f"outputs.{key}", base_dir) if key in outputs else None
+        for key in ("state", "metrics"))
+    if state_out and metrics_out and os.path.realpath(state_out) == os.path.realpath(metrics_out):
+        raise ConfigError("outputs.metrics", f"{metrics_out} is the same file as the "
+                                             f"state output {state_out}")
 
     return RunConfig(hamiltonian=hamiltonian,
                      initial_state=state, t=t, epsilon=epsilon, law=law,

@@ -37,7 +37,8 @@ from .linalg import as_operator
 CHUNK_SHOTS = 4096
 MAX_SHOTS = 10 ** 7  # a sampled run holds a few float64 arrays of one entry per shot
 MAX_SAMPLED_RATE = 1e6  # a sampled compound shot holds about `rate` kicks
-# random draws over a whole run: compound kicks (shots * rate) or qpe outcomes (dim * shots)
+# random draws over a whole run: compound kicks (shots * rate), qpe outcomes (dim * shots)
+# or bench draws (times * epsilons * draws)
 MAX_RUN_DRAWS = 10 ** 9
 # first derived_rng index of each consumer other than shots and chunks
 QPE_STREAMS = 1 << 62

@@ -135,6 +135,25 @@ def test_parse_overrides_win(tmp_path):
     assert cfg.seed == 9
 
 
+@pytest.mark.parametrize("section,key,bad,flag,value,expected", [
+    ("outputs", "state", "gone/state.txt", "state_out", "state.txt", "./state.txt"),
+    ("outputs", "metrics", "gone/metrics.csv", "metrics_out", "metrics.csv", "./metrics.csv"),
+    ("sampler", "shots", "many", "shots", 10, 10),
+    ("sampler", "seed", "x", "seed", 1, 1),
+], ids=["state_out", "metrics_out", "shots", "seed"])
+def test_parse_flag_replaces_invalid_file_value(tmp_path, monkeypatch, section, key, bad,
+                                                flag, value, expected):
+    monkeypatch.chdir(tmp_path)
+    data = base_config(sampler={"shots": 10, "seed": 1},
+                       outputs={"state": "state_file.txt", "metrics": "metrics_file.csv"})
+    data[section][key] = bad
+    with pytest.raises(ConfigError) as err:
+        parse_config(data, base_dir=str(tmp_path))
+    assert err.value.location == f"{section}.{key}"
+    cfg = parse_config(data, base_dir=str(tmp_path), overrides={flag: value})
+    assert getattr(cfg, flag) == expected
+
+
 def test_parse_pauli_dimension_mismatch(tmp_path):
     data = base_config()
     data["system"] = {"qubits": 2}
@@ -616,6 +635,25 @@ def test_simulate_bad_output_path_exits_2_before_writing(tmp_path, capsys, outpu
     assert files_under(tmp_path) == before
 
 
+@pytest.mark.parametrize("outputs,flags", [
+    ({"state": "same.txt", "metrics": "same.txt"}, []),
+    ({}, ["--state-out", "a.txt", "--metrics-out", "./a.txt"]),
+    ({"state": "a.txt"}, ["--metrics-out", "a.txt"]),
+    ({"state": "a.txt"}, ["--metrics-out", "link/a.txt"]),
+], ids=["file", "flags", "file-and-flag", "symlink"])
+def test_simulate_same_state_and_metrics_file_exits_2(tmp_path, monkeypatch, capsys,
+                                                      outputs, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path)
+    path = write_config(tmp_path, base_config(outputs=outputs))
+    before = files_under(tmp_path)
+    assert main(["simulate", "--config", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: outputs.metrics:")
+    assert captured.out == ""
+    assert files_under(tmp_path) == before
+
+
 @pytest.mark.parametrize("command", ["qpe", "bench"])
 @pytest.mark.parametrize("target", ["taken", "absent/out.csv"], ids=["dir", "missing-dir"])
 def test_bad_csv_out_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, command, target):
@@ -630,6 +668,25 @@ def test_bad_csv_out_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, comm
     assert captured.err.startswith("error: --csv-out:")
     assert captured.out == ""
     assert files_under(tmp_path) == before
+
+
+def test_bench_draw_total_capped_before_any_draw(monkeypatch, capsys):
+    def reached(*args):
+        raise SamplerReached
+    monkeypatch.setattr(cli, "mean_sampled_cost", reached)
+
+    def bench(times, epsilons, draws):
+        assert draws <= MAX_SHOTS
+        return main(["bench", "--ts", ",".join(["1"] * times),
+                     "--epsilons", ",".join(["0.01"] * epsilons), "--draws", str(draws)])
+    assert 100 * 10 * 10 ** 6 == MAX_RUN_DRAWS
+    with pytest.raises(SamplerReached):
+        bench(100, 10, 10 ** 6)
+    assert 77 * 13 * 999001 == MAX_RUN_DRAWS + 1
+    assert bench(77, 13, 999001) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --draws:")
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
