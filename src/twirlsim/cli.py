@@ -75,7 +75,7 @@ def _run_config(args) -> RunConfig:
     """The config file args.config, with the command's flags as overrides."""
     return parse_config(load_config_file(args.config),
                         base_dir=os.path.dirname(os.path.abspath(args.config)),
-                        overrides=vars(args))
+                        overrides=vars(args), config_file=args.config)
 
 
 def cmd_simulate(args) -> int:

@@ -13,9 +13,11 @@ Example:
     }
 
 Each section is read by one call that rejects unknown keys and names a
-missing one. A flag replaces its file value before that value is validated;
-the state and metrics outputs must be different files. Every validation
-failure raises ConfigError with the offending key path.
+missing one. A flag replaces its file value before that value is validated.
+The state and metrics outputs must be different files, and neither may be
+a file the run reads (the config file, hamiltonian.matrix_file or
+initial_state.file). Every validation failure raises ConfigError with the
+offending key path.
 """
 
 from __future__ import annotations
@@ -278,13 +280,15 @@ def _build_initial_state(node, dim: int, base_dir: str) -> np.ndarray:
     return rho
 
 
-def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None) -> RunConfig:
+def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None,
+                 config_file: str | None = None) -> RunConfig:
     """Validate a configuration mapping into a RunConfig.
 
     overrides maps flat keys (t, epsilon, shots, seed, state_out, metrics_out)
     to values that replace the file's values before those are validated, so a
     flag's file value is never read. A None value, or any other key, is
     ignored, so a command's parsed flags can be passed as they are.
+    config_file is the file data was read from, if any; no output may name it.
     """
     data = _mapping(data, "config", {"system", "hamiltonian", "initial_state", "evolution",
                                      "sampler", "outputs"},
@@ -336,6 +340,17 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None)
         if f"{key}_out" in overrides else
         resolve_output_path(outputs[key], f"outputs.{key}", base_dir) if key in outputs else None
         for key in ("state", "metrics"))
+    # no output may overwrite a file the run reads, nor the other output
+    state_node = data["initial_state"]
+    inputs = {"hamiltonian.matrix_file": data["hamiltonian"].get("matrix_file"),
+              "initial_state.file": isinstance(state_node, dict) and state_node.get("file")}
+    inputs = {name: os.path.join(base_dir, path) for name, path in inputs.items() if path}
+    if config_file is not None:
+        inputs["the config file"] = config_file
+    for key, path in (("outputs.state", state_out), ("outputs.metrics", metrics_out)):
+        for name, source in inputs.items():
+            if path and os.path.realpath(path) == os.path.realpath(source):
+                raise ConfigError(key, f"{path} is {name}, which the run reads")
     if state_out and metrics_out and os.path.realpath(state_out) == os.path.realpath(metrics_out):
         raise ConfigError("outputs.metrics", f"{metrics_out} is the same file as the "
                                              f"state output {state_out}")

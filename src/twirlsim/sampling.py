@@ -13,19 +13,22 @@ multipliers phi phi^dag with phi_j = exp(-i lambda_j s).
 Reproducibility: shots form fixed chunks of CHUNK_SHOTS. A Gaussian chunk
 draws all its times from one counter-based stream derived from
 (seed, chunk_index); a compound shot draws from a stream derived from
-(seed, shot_index). Chunks are reduced in index order, and per-shot costs
-are totaled with exact summation. Results are therefore bit-identical
-across repeated runs. The other consumers of derived streams (phase
-estimation, the bench table, self-verification) read index blocks that
-start at QPE_STREAMS, BENCH_STREAMS and VERIFY_STREAMS, far above any shot
-or chunk index, so no two consumers share a stream under one seed.
+(seed, shot_index). Compound shots are drawn in batches of at most about
+CHUNK_SHOTS kicks; a batch groups its shots by kick count n and sums each
+group as one [m, n] array along its rows, which numpy sums pairwise exactly
+as it sums each shot's kicks alone. Chunks are reduced in index order, and
+per-shot costs are totaled with exact summation. Results are therefore
+bit-identical across repeated runs. The other consumers of derived streams
+(phase estimation, the bench table, self-verification) read index blocks
+that start at QPE_STREAMS, BENCH_STREAMS and VERIFY_STREAMS, far above any
+shot or chunk index, so no two consumers share a stream under one seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -52,18 +55,26 @@ class _PhiloxKey(ISeedSequence):
     """Seed sequence that hands Philox one fixed 128-bit key, [key, 0], as is.
 
     Philox(key=...) would first build a SeedSequence from OS entropy and
-    then overwrite it; this supplies the key words directly instead.
+    then overwrite it; this supplies the key words directly instead. The
+    words are read-only, since every stream under one seed shares them.
     """
 
     __slots__ = ("_words",)
 
     def __init__(self, key: int):
         self._words = np.array([key, 0], dtype=np.uint64)
+        self._words.flags.writeable = False
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or np.dtype(dtype) != np.uint64:
             raise ValueError(f"a Philox key is 2 uint64 words, asked for {n_words} {dtype}")
         return self._words
+
+
+@lru_cache(maxsize=8)
+def _philox_key(key: int) -> _PhiloxKey:
+    """One shared key per seed: building it takes about a sixth of the time of a stream."""
+    return _PhiloxKey(key)
 
 
 def derived_rng(seed: int, index: int) -> np.random.Generator:
@@ -78,7 +89,7 @@ def derived_rng(seed: int, index: int) -> np.random.Generator:
     if not 0 <= index < _STREAM_INDICES:
         raise ValueError(f"stream index must be in [0, 2**64), got {index}")
     counter = np.array([0, 0, 0, index], dtype=np.uint64)
-    key = _PhiloxKey(int(seed) % _STREAM_INDICES)
+    key = _philox_key(int(seed) % _STREAM_INDICES)
     return np.random.Generator(np.random.Philox(key, counter=counter))
 
 
@@ -252,6 +263,30 @@ def compound_poisson_kicks(rate_time: float, base: BaseLaw,
     return np.asarray(sample_law(base, rng, size=n), dtype=np.float64)
 
 
+def _sum_kicks(batch: list[np.ndarray], times: np.ndarray, costs: np.ndarray) -> None:
+    """Write each shot's summed kicks into times and summed |kicks| into costs.
+
+    Shots with the same kick count n are gathered into one [m, n] array and
+    summed along its rows. numpy sums each row pairwise exactly as it sums
+    that row alone, so times[i] and costs[i] equal batch[i].sum() and
+    np.abs(batch[i]).sum() bit for bit. A shot whose count no other shot
+    shares, as most at high rates, is summed on its own, which costs less
+    than a one-row array. A shot without kicks keeps its 0.
+    """
+    groups = {}
+    for i, kicks in enumerate(batch):
+        groups.setdefault(kicks.size, []).append(i)
+    groups.pop(0, None)
+    for n, shots in groups.items():
+        if len(shots) == 1:
+            i = shots[0]
+            times[i], costs[i] = batch[i].sum(), np.abs(batch[i]).sum()
+        else:
+            rows = np.concatenate([batch[i] for i in shots]).reshape(len(shots), n)
+            times[shots] = rows.sum(axis=1)
+            costs[shots] = np.abs(rows).sum(axis=1)
+
+
 def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
                               seed: int) -> tuple[SchurMultiplier, CostLedger]:
     """Estimate the compound Poisson twirl at time t from sampled total kicks.
@@ -261,6 +296,13 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
     per shot (the simulated time if each jump is applied as its own
     evolution), whose expectation is t * E|X_1| for every base law. At
     t = 0 no shot has a jump, so no stream is drawn.
+
+    Shot i draws its kicks from its own stream derived_rng(seed, i). Shots
+    are drawn in batches of at most about CHUNK_SHOTS kicks and at most
+    CHUNK_SHOTS / 4 shots, so memory stays bounded at any rate. A batch is
+    reduced with two numpy sums per kick count: its shots with n kicks form
+    one [m, n] array, summed along its rows (see _sum_kicks). Every time and
+    cost is bit-identical to summing that shot's kicks alone.
     """
     t = CompoundPoisson(rate=float(t), base=base).rate
     shots = int(shots)
@@ -269,9 +311,14 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
     times = np.zeros(shots, dtype=np.float64)
     costs = np.zeros(shots, dtype=np.float64)
     if t > 0.0:
-        for i in range(shots):
-            kicks = compound_poisson_kicks(t, base, derived_rng(seed, i))
-            times[i], costs[i] = kicks.sum(), np.abs(kicks).sum()
+        # a shot has t kicks on average: a batch holds about CHUNK_SHOTS kicks at rates
+        # above 4, and at most CHUNK_SHOTS / 4 shots, since each held shot costs ~250 bytes
+        step = max(1, int(CHUNK_SHOTS / max(t, 4.0)))
+        for first in range(0, shots, step):
+            last = min(first + step, shots)
+            batch = [compound_poisson_kicks(t, base, derived_rng(seed, i))
+                     for i in range(first, last)]
+            _sum_kicks(batch, times[first:last], costs[first:last])
     ledger = CostLedger(per_shot_times=costs, worst_case=float(costs.max()))
     return empirical_channel(h, times), ledger
 

@@ -20,7 +20,7 @@ from .distributions import (
     TruncatedGaussian,
     char_minus,
 )
-from .linalg import random_hermitian
+from .linalg import HermitianOperator, random_hermitian
 from .sampling import VERIFY_STREAMS, derived_rng
 from .twirling import gaussian_evolution, hs_quadrature_check, schur_multiplier_for, vectorized_oracle
 
@@ -50,7 +50,8 @@ def _oracle_equivalence(rng, dims, trials: int):
     """Gaussian twirl versus the vectorized generator exponential."""
     for dim in dims:
         for _ in range(trials):
-            h = random_hermitian(dim, rng, scale=float(rng.uniform(0.5, 2.0)))
+            # gaussian_evolution uses its eigenvectors, vectorized_oracle only its matrix
+            h = HermitianOperator(random_hermitian(dim, rng, scale=float(rng.uniform(0.5, 2.0))))
             rho = random_density_matrix(dim, rng)
             t = float(rng.uniform(0.0, 4.0))
             yield np.abs(gaussian_evolution(h, rho, t) - vectorized_oracle(h, rho, t)).max()
@@ -100,7 +101,7 @@ def _schur_identity(rng, trials: int):
     """Twirl output in the eigenbasis equals the entrywise multiplier product."""
     for _ in range(trials):
         dim = int(rng.integers(2, 5))
-        h = random_hermitian(dim, rng, scale=1.5)
+        h = HermitianOperator(random_hermitian(dim, rng, scale=1.5))
         rho = random_density_matrix(dim, rng)
         dist = Gaussian(variance=float(rng.uniform(0.1, 2.0)))
         m = schur_multiplier_for(h, dist)

@@ -654,6 +654,30 @@ def test_simulate_same_state_and_metrics_file_exits_2(tmp_path, monkeypatch, cap
     assert files_under(tmp_path) == before
 
 
+@pytest.mark.parametrize("updates,flags,key", [
+    ({}, ["--metrics-out", "run.json"], "outputs.metrics"),
+    ({"system": {"dim": 2}, "hamiltonian": {"matrix_file": "h.txt"}},
+     ["--metrics-out", "./h.txt"], "outputs.metrics"),
+    ({"initial_state": {"file": "rho.txt"},
+      "outputs": {"state": "rho.txt", "metrics": "metrics.csv"}}, [], "outputs.state"),
+], ids=["config-file", "matrix-file", "state-file"])
+def test_simulate_output_naming_an_input_exits_2(tmp_path, monkeypatch, capsys,
+                                                updates, flags, key):
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path / "h.txt", Z)
+    write_matrix(tmp_path / "rho.txt", plus_state(1))
+    path = write_config(tmp_path, base_config(**{
+        "sampler": {"shots": 10, "seed": 1},
+        "outputs": {"state": "state.txt", "metrics": "metrics.csv"}, **updates}))
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["simulate", "--config", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key}:")
+    assert "which the run reads" in captured.err
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("command", ["qpe", "bench"])
 @pytest.mark.parametrize("target", ["taken", "absent/out.csv"], ids=["dir", "missing-dir"])
 def test_bad_csv_out_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, command, target):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -324,17 +325,27 @@ def test_gaussian_engine_matches_per_shot_choi(d, shots):
     assert np.abs(emp.choi - reference_choi(op, times)).max() <= 1e-13
 
 
+COMPOUND_BASES = [Gaussian(0.5), Dirac(1.25), FiniteMixture(atoms=((0.8, 0.5), (-0.4, 0.5)))]
+
+
 @pytest.mark.parametrize("d,shots", ENGINE_CASES)
 def test_compound_engine_matches_per_shot_choi(d, shots):
+    # numpy sums fewer than 8 values in order, up to 128 in eight partial sums,
+    # and more by pairwise halving: rate 0.3 gives shots with 0 to 2 kicks,
+    # rate 2 with 0 to 8, rate 40 with 9 to 128 and rate 300 with more than 128
     op = HermitianOperator(random_hermitian(d, np.random.default_rng(d)))
-    base, t, seed = Gaussian(0.5), 2.0, 60 + d
-    emp, ledger = estimate_compound_channel(op, base, t, shots, seed)
-    kicks = [compound_poisson_kicks(t, base, derived_rng(seed, i)) for i in range(shots)]
-    costs = np.array([float(np.abs(k).sum()) for k in kicks])
-    assert np.array_equal(ledger.per_shot_times, costs)
-    assert ledger.worst_case == costs.max()
-    times = [float(k.sum()) for k in kicks]
-    assert np.abs(emp.choi - reference_choi(op, times)).max() <= 1e-13
+    seed = 60 + d
+    for base, rate in itertools.product(COMPOUND_BASES, [0.3, 2.0, 40.0, 300.0]):
+        case = (base, rate)
+        emp, ledger = estimate_compound_channel(op, base, rate, shots, seed)
+        kicks = [compound_poisson_kicks(rate, base, derived_rng(seed, i)) for i in range(shots)]
+        # the grouped reduction must give each shot's own sums bit for bit
+        costs = np.array([np.abs(k).sum() for k in kicks])
+        times = np.array([k.sum() for k in kicks])
+        assert np.array_equal(ledger.per_shot_times, costs), case
+        assert np.array_equal(emp.multiplier, empirical_channel(op, times).multiplier), case
+        assert ledger.worst_case == costs.max(), case
+        assert np.abs(emp.choi - reference_choi(op, times)).max() <= 1e-13, case
 
 
 @pytest.mark.parametrize("shots", [1, 4096, 4097, 9000])
@@ -449,6 +460,8 @@ def test_derived_rng_rejects_index_outside_one_word(index):
 def test_philox_key_refuses_any_other_state_request():
     key = sampling._PhiloxKey(7)
     assert np.array_equal(key.generate_state(2, np.uint64), [7, 0])
+    # the words are shared by every stream under one seed
+    assert not key.generate_state(2, np.uint64).flags.writeable
     for n_words, dtype in [(4, np.uint64), (2, np.uint32), (1, np.uint64)]:
         with pytest.raises(ValueError):
             key.generate_state(n_words, dtype)
@@ -632,6 +645,19 @@ def test_estimate_compound_channel_at_rate_1000():
     # sqrt(t / shots), and a 6-sigma miss has probability below 2e-9
     mean_kicks = ledger.total_time / shots / math.pi
     assert abs(mean_kicks - t) <= 6.0 * math.sqrt(t / shots)
+
+
+def test_compound_estimate_memory_stays_bounded_at_high_rate():
+    # 50 shots of about 1e5 kicks: one shot's kicks and their magnitudes take
+    # 1.6 MB, while holding every shot's kicks at once would take 80 MB
+    tracemalloc.start()
+    try:
+        _, ledger = estimate_compound_channel(Z, Gaussian(0.5), 1e5, 50, seed=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ledger.shots == 50
+    assert peak <= 8e6
 
 
 def test_estimate_compound_channel_zero_time():
