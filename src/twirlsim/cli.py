@@ -71,15 +71,18 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         _write_rows(fh, header, rows)
 
 
-def _run_config(args) -> RunConfig:
-    """The config file args.config, with the command's flags as overrides."""
+def _run_config(args, writes: tuple[str, ...]) -> RunConfig:
+    """The config file args.config, with the command's flags as overrides.
+
+    writes names the config outputs the command writes (see parse_config).
+    """
     return parse_config(load_config_file(args.config),
                         base_dir=os.path.dirname(os.path.abspath(args.config)),
-                        overrides=vars(args), config_file=args.config)
+                        overrides=vars(args), config_file=args.config, writes=writes)
 
 
 def cmd_simulate(args) -> int:
-    cfg = _run_config(args)
+    cfg = _run_config(args, writes=("state", "metrics"))
     if cfg.state_out is None or cfg.metrics_out is None:
         raise ConfigError("outputs", "simulate needs outputs.state and outputs.metrics")
     started = time.perf_counter()
@@ -179,9 +182,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_qpe(args) -> int:
+    cfg = _run_config(args, writes=())
     if args.csv_out:
-        resolve_output_path(args.csv_out, "--csv-out", ".")
-    cfg = _run_config(args)
+        resolve_output_path(args.csv_out, "--csv-out", ".", cfg.reads)
     if cfg.seed is None:
         raise ConfigError("sampler.seed", "qpe needs a seed (flag or config)")
     if cfg.shots is None:

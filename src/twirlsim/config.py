@@ -14,10 +14,10 @@ Example:
 
 Each section is read by one call that rejects unknown keys and names a
 missing one. A flag replaces its file value before that value is validated.
-The state and metrics outputs must be different files, and neither may be
-a file the run reads (the config file, hamiltonian.matrix_file or
-initial_state.file). Every validation failure raises ConfigError with the
-offending key path.
+Only the outputs a command writes are resolved. The state and metrics
+outputs must be different files, and no output may be a file the run reads
+(the config file, hamiltonian.matrix_file or initial_state.file). Every
+validation failure raises ConfigError with the offending key path.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ class RunConfig:
     seed: int | None
     state_out: str | None
     metrics_out: str | None
+    reads: dict[str, str]  # name -> path of each file the run reads; no output may be one
 
 
 def _expect_mapping(node, location: str) -> dict:
@@ -201,7 +202,12 @@ def _resolve_input_path(path_value, location: str, base_dir: str) -> str:
     return path
 
 
-def resolve_output_path(path_value, location: str, base_dir: str) -> str:
+def resolve_output_path(path_value, location: str, base_dir: str,
+                        reads: dict[str, str] | None = None) -> str:
+    """The output path, in an existing directory and not a directory itself.
+
+    reads maps a name to each file the run reads; the path may name none of them.
+    """
     if not isinstance(path_value, str):
         raise ConfigError(location, f"expected a path string, got {path_value!r}")
     path = path_value if os.path.isabs(path_value) else os.path.join(base_dir, path_value)
@@ -210,6 +216,9 @@ def resolve_output_path(path_value, location: str, base_dir: str) -> str:
         raise ConfigError(location, f"output directory does not exist: {parent}")
     if os.path.isdir(path):
         raise ConfigError(location, f"output path is a directory: {path}")
+    for name, source in (reads or {}).items():
+        if os.path.realpath(path) == os.path.realpath(source):
+            raise ConfigError(location, f"{path} is {name}, which the run reads")
     return path
 
 
@@ -281,7 +290,8 @@ def _build_initial_state(node, dim: int, base_dir: str) -> np.ndarray:
 
 
 def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None,
-                 config_file: str | None = None) -> RunConfig:
+                 config_file: str | None = None,
+                 writes: tuple[str, ...] = ("state", "metrics")) -> RunConfig:
     """Validate a configuration mapping into a RunConfig.
 
     overrides maps flat keys (t, epsilon, shots, seed, state_out, metrics_out)
@@ -289,6 +299,8 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None,
     flag's file value is never read. A None value, or any other key, is
     ignored, so a command's parsed flags can be passed as they are.
     config_file is the file data was read from, if any; no output may name it.
+    writes names the outputs the command writes; only their paths are
+    resolved, and the others are None.
     """
     data = _mapping(data, "config", {"system", "hamiltonian", "initial_state", "evolution",
                                      "sampler", "outputs"},
@@ -333,24 +345,20 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None,
     if shots is not None and seed is None:
         raise ConfigError("sampler.seed", "sampled runs need a seed")
 
-    # a flag's path is relative to the working directory, a file's to the config's
-    outputs = _mapping(data.get("outputs", {}), "outputs", {"state", "metrics"})
-    state_out, metrics_out = (
-        resolve_output_path(overrides[f"{key}_out"], f"outputs.{key}", ".")
-        if f"{key}_out" in overrides else
-        resolve_output_path(outputs[key], f"outputs.{key}", base_dir) if key in outputs else None
-        for key in ("state", "metrics"))
     # no output may overwrite a file the run reads, nor the other output
     state_node = data["initial_state"]
-    inputs = {"hamiltonian.matrix_file": data["hamiltonian"].get("matrix_file"),
-              "initial_state.file": isinstance(state_node, dict) and state_node.get("file")}
-    inputs = {name: os.path.join(base_dir, path) for name, path in inputs.items() if path}
+    reads = {"hamiltonian.matrix_file": data["hamiltonian"].get("matrix_file"),
+             "initial_state.file": isinstance(state_node, dict) and state_node.get("file")}
+    reads = {name: os.path.join(base_dir, path) for name, path in reads.items() if path}
     if config_file is not None:
-        inputs["the config file"] = config_file
-    for key, path in (("outputs.state", state_out), ("outputs.metrics", metrics_out)):
-        for name, source in inputs.items():
-            if path and os.path.realpath(path) == os.path.realpath(source):
-                raise ConfigError(key, f"{path} is {name}, which the run reads")
+        reads["the config file"] = config_file
+    # a flag's path is relative to the working directory, a file's to the config's
+    outputs = _mapping(data.get("outputs", {}), "outputs", {"state", "metrics"})
+    paths = {key: resolve_output_path(overrides[f"{key}_out"], f"outputs.{key}", ".", reads)
+             if f"{key}_out" in overrides else
+             resolve_output_path(outputs[key], f"outputs.{key}", base_dir, reads)
+             for key in writes if f"{key}_out" in overrides or key in outputs}
+    state_out, metrics_out = paths.get("state"), paths.get("metrics")
     if state_out and metrics_out and os.path.realpath(state_out) == os.path.realpath(metrics_out):
         raise ConfigError("outputs.metrics", f"{metrics_out} is the same file as the "
                                              f"state output {state_out}")
@@ -358,4 +366,4 @@ def parse_config(data: dict, base_dir: str = ".", overrides: dict | None = None,
     return RunConfig(hamiltonian=hamiltonian,
                      initial_state=state, t=t, epsilon=epsilon, law=law,
                      shots=shots, seed=seed,
-                     state_out=state_out, metrics_out=metrics_out)
+                     state_out=state_out, metrics_out=metrics_out, reads=reads)

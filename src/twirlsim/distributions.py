@@ -256,7 +256,8 @@ def _(dist: TruncatedGaussian, omega):
     near = freqs * width < TRUNCATED_CHAR_MAX_PHASE
     value = np.empty(freqs.size)
     value[near] = _truncated_char_rule(dist.variance, width, freqs[near])
-    value[~near] = _truncated_char_series(dist.variance, width, freqs[~near])
+    if not near.all():
+        value[~near] = _truncated_char_series(dist.variance, width, freqs[~near])
     return value[where[1:]].reshape(w.shape).astype(np.complex128)
 
 

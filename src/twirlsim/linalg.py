@@ -86,13 +86,19 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
     def function_of(self, values) -> np.ndarray:
-        """Assemble V diag(values) V^dagger for per-eigenvalue values."""
-        v = self.eigenvectors
-        return (v * np.asarray(values)) @ v.conj().T
+        """Assemble V diag(values) V^dagger for per-eigenvalue values.
 
-    def unitary_at(self, s: float) -> np.ndarray:
-        """exp(-i H s) assembled from the cached decomposition."""
-        return self.function_of(np.exp(-1j * self.eigenvalues * s))
+        values has shape (..., d); a leading axis gives a stack of matrices.
+        """
+        v = self.eigenvectors
+        return (v * np.asarray(values)[..., None, :]) @ v.conj().T
+
+    def unitary_at(self, s) -> np.ndarray:
+        """exp(-i H s) assembled from the cached decomposition.
+
+        An array of times gives the stack of unitaries, one per time.
+        """
+        return self.function_of(np.exp(-1j * self.eigenvalues * np.asarray(s)[..., None]))
 
     def gaps(self) -> np.ndarray:
         """Matrix of eigenvalue differences lambda_j - lambda_k."""

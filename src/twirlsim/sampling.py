@@ -12,16 +12,18 @@ multipliers phi phi^dag with phi_j = exp(-i lambda_j s).
 
 Reproducibility: shots form fixed chunks of CHUNK_SHOTS. A Gaussian chunk
 draws all its times from one counter-based stream derived from
-(seed, chunk_index); a compound shot draws from a stream derived from
-(seed, shot_index). Compound shots are drawn in batches of at most about
-CHUNK_SHOTS kicks; a batch groups its shots by kick count n and sums each
-group as one [m, n] array along its rows, which numpy sums pairwise exactly
-as it sums each shot's kicks alone. Chunks are reduced in index order, and
-per-shot costs are totaled with exact summation. Results are therefore
-bit-identical across repeated runs. The other consumers of derived streams
-(phase estimation, the bench table, self-verification) read index blocks
-that start at QPE_STREAMS, BENCH_STREAMS and VERIFY_STREAMS, far above any
-shot or chunk index, so no two consumers share a stream under one seed.
+(seed, chunk_index); a compound shot draws its kick count, then its kicks
+if the count is not 0, from a stream derived from (seed, shot_index). The
+base law's sampler is looked up once per run, not once per shot. Compound
+shots are drawn in batches of at most about CHUNK_SHOTS kicks; a batch
+groups its shots by kick count n and sums each group as one [m, n] array
+along its rows, which numpy sums pairwise exactly as it sums each shot's
+kicks alone. Chunks are reduced in index order, and per-shot costs are
+totaled with exact summation. Results are therefore bit-identical across
+repeated runs. The other consumers of derived streams (phase estimation,
+the bench table, self-verification) read index blocks that start at
+QPE_STREAMS, BENCH_STREAMS and VERIFY_STREAMS, far above any shot or chunk
+index, so no two consumers share a stream under one seed.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ QPE_STREAMS = 1 << 62
 BENCH_STREAMS = 2 << 62
 VERIFY_STREAMS = 3 << 62
 _STREAM_INDICES = 1 << 64  # stream indices, and seeds mod this, are one uint64 word
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # copied per stream: cheaper than a list
+_ZERO_COUNTER.flags.writeable = False
 _MAX_EPSILON = 4.0  # cutoff is real and positive only for epsilon below 4
 
 
@@ -88,7 +92,8 @@ def derived_rng(seed: int, index: int) -> np.random.Generator:
     index = int(index)
     if not 0 <= index < _STREAM_INDICES:
         raise ValueError(f"stream index must be in [0, 2**64), got {index}")
-    counter = np.array([0, 0, 0, index], dtype=np.uint64)
+    counter = _ZERO_COUNTER.copy()
+    counter[3] = index
     key = _philox_key(int(seed) % _STREAM_INDICES)
     return np.random.Generator(np.random.Philox(key, counter=counter))
 
@@ -124,8 +129,14 @@ def tv_bound(t: float, s_cut: float) -> float:
     value is clipped to 1 since a total variation distance cannot exceed 1.
     """
     t, s_cut = _window(t, s_cut)
-    value = math.sqrt(2.0 / math.pi) * (math.sqrt(t) / s_cut) * math.exp(-s_cut ** 2 / (2.0 * t))
-    return min(value, 1.0)
+    try:
+        tail = math.exp(-s_cut ** 2 / (2.0 * t))
+    except OverflowError:
+        # S^2 overflows, but S^2 / 2t = x * x may not, and x * x gives inf without raising;
+        # taking x on every call would change the last bit of most finite bounds
+        x = s_cut / math.sqrt(t) / math.sqrt(2.0)
+        tail = math.exp(-x * x)
+    return min(math.sqrt(2.0 / math.pi) * (math.sqrt(t) / s_cut) * tail, 1.0)
 
 
 def tv_exact(t: float, s_cut: float) -> float:
@@ -254,15 +265,6 @@ def estimate_channel(h, plan: ShotPlan) -> tuple[SchurMultiplier, CostLedger]:
 # compound Poisson sampling
 # ---------------------------------------------------------------------------
 
-def compound_poisson_kicks(rate_time: float, base: BaseLaw,
-                           rng: np.random.Generator) -> np.ndarray:
-    """The individual jumps of one compound Poisson draw; the caller validates the law."""
-    if rate_time > MAX_SAMPLED_RATE:
-        raise ValueError(f"rate {rate_time} too large to sample (at most {MAX_SAMPLED_RATE:g})")
-    n = int(rng.poisson(rate_time))
-    return np.asarray(sample_law(base, rng, size=n), dtype=np.float64)
-
-
 def _sum_kicks(batch: list[np.ndarray], times: np.ndarray, costs: np.ndarray) -> None:
     """Write each shot's summed kicks into times and summed |kicks| into costs.
 
@@ -295,29 +297,43 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
     Poisson draw. The ledger records the summed jump magnitudes sum_j |X_j|
     per shot (the simulated time if each jump is applied as its own
     evolution), whose expectation is t * E|X_1| for every base law. At
-    t = 0 no shot has a jump, so no stream is drawn.
+    t = 0 no shot has a jump, so no stream is drawn. A rate above
+    MAX_SAMPLED_RATE raises ValueError before any stream is drawn.
 
-    Shot i draws its kicks from its own stream derived_rng(seed, i). Shots
-    are drawn in batches of at most about CHUNK_SHOTS kicks and at most
-    CHUNK_SHOTS / 4 shots, so memory stays bounded at any rate. A batch is
-    reduced with two numpy sums per kick count: its shots with n kicks form
-    one [m, n] array, summed along its rows (see _sum_kicks). Every time and
-    cost is bit-identical to summing that shot's kicks alone.
+    Shot i draws its kick count n, then its n kicks, from its own stream
+    derived_rng(seed, i); a shot with n = 0 draws nothing after its count.
+    The base law's sampler is looked up once per run. Shots are drawn in
+    batches of at most about CHUNK_SHOTS kicks and at most CHUNK_SHOTS / 4
+    shots, so memory stays bounded at any rate. A batch is reduced with two
+    numpy sums per kick count: its shots with n kicks form one [m, n] array,
+    summed along its rows (see _sum_kicks). Every time and cost is
+    bit-identical to summing that shot's kicks alone.
     """
     t = CompoundPoisson(rate=float(t), base=base).rate
+    if t > MAX_SAMPLED_RATE:
+        raise ValueError(f"rate {t} too large to sample (at most {MAX_SAMPLED_RATE:g})")
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     times = np.zeros(shots, dtype=np.float64)
     costs = np.zeros(shots, dtype=np.float64)
     if t > 0.0:
+        draw = sample_law.dispatch(type(base))
+        no_kicks = np.zeros(0)
+
+        def shot_kicks(rng):
+            n = int(rng.poisson(t))
+            return np.asarray(draw(base, rng, n), dtype=np.float64) if n else no_kicks
+
         # a shot has t kicks on average: a batch holds about CHUNK_SHOTS kicks at rates
         # above 4, and at most CHUNK_SHOTS / 4 shots, since each held shot costs ~250 bytes
         step = max(1, int(CHUNK_SHOTS / max(t, 4.0)))
         for first in range(0, shots, step):
             last = min(first + step, shots)
-            batch = [compound_poisson_kicks(t, base, derived_rng(seed, i))
-                     for i in range(first, last)]
+            # the previous batch is released only after this one is drawn: releasing it
+            # first lets malloc return its pages to the OS, which a rate-1e5 shot then
+            # faults in again, about 13% slower
+            batch = [shot_kicks(derived_rng(seed, i)) for i in range(first, last)]
             _sum_kicks(batch, times[first:last], costs[first:last])
     ledger = CostLedger(per_shot_times=costs, worst_case=float(costs.max()))
     return empirical_channel(h, times), ledger

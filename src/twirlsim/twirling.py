@@ -108,8 +108,8 @@ def hs_quadrature_check(h, t: float) -> float:
     x, w = _hermite_rule(HS_QUADRATURE_NODES)
     scale = math.sqrt(2.0 * t)
     acc = np.zeros((op.dim, op.dim), dtype=np.complex128)
-    for xi, wi in zip(x, w):
-        acc += wi * op.unitary_at(scale * xi)
+    for term in w[:, None, None] * op.unitary_at(scale * x):  # added in node order
+        acc += term
     acc /= math.sqrt(math.pi)
     target = op.function_of(np.exp(-0.5 * t * op.eigenvalues ** 2))
     return float(np.abs(acc - target).max())

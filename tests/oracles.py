@@ -1,9 +1,11 @@
 """Reference routes that only the tests call.
 
-Each works on a d^2 x d^2 object that the package itself never needs: the
+Most work on a d^2 x d^2 object that the package itself never needs: the
 superoperator action, the joint-generator exponential for commuting jumps,
 the output partial trace of a Choi matrix, and the Choi matrix of an exact
-twirl assembled through its superoperator.
+twirl assembled through its superoperator. compound_poisson_kicks draws one
+compound Poisson shot on its own, the per-shot reference for the estimator's
+batched draws.
 """
 
 import numpy as np
@@ -16,8 +18,10 @@ from twirlsim import (
     unvec,
     vec,
 )
+from twirlsim.distributions import BaseLaw, sample_law
 from twirlsim.errors import ShapeError
 from twirlsim.linalg import as_complex_matrix, as_operator, require_square
+from twirlsim.sampling import MAX_SAMPLED_RATE
 from twirlsim.twirling import _require_time
 
 
@@ -58,3 +62,12 @@ def partial_trace_output(choi, d: int) -> np.ndarray:
 def choi_of(h, dist) -> np.ndarray:
     """Choi matrix of the exact twirl of h by dist, through its superoperator."""
     return choi_of_superoperator(superoperator_of_schur(exact_channel(h, dist)))
+
+
+def compound_poisson_kicks(rate_time: float, base: BaseLaw,
+                           rng: np.random.Generator) -> np.ndarray:
+    """The individual jumps of one compound Poisson draw; the caller validates the law."""
+    if rate_time > MAX_SAMPLED_RATE:
+        raise ValueError(f"rate {rate_time} too large to sample (at most {MAX_SAMPLED_RATE:g})")
+    n = int(rng.poisson(rate_time))
+    return np.asarray(sample_law(base, rng, size=n), dtype=np.float64)

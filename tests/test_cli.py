@@ -548,6 +548,20 @@ def test_overflow_is_named_and_nothing_non_finite_is_written(tmp_path, capsys,
     assert not (tmp_path / "metrics.csv").exists()
 
 
+def test_sampled_window_past_squared_overflow_gives_a_finite_bound(tmp_path, capsys):
+    # S^2 overflows for S above about 1.3e154; the tail bound is then 0, not a traceback
+    cfg = base_config(evolution=_evolution(1.0, kind="truncated_gaussian", cutoff=1e160),
+                      sampler={"shots": 100, "seed": 3})
+    code, state_path, metrics_path = run_simulate(tmp_path, cfg)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    header, row = read_csv(metrics_path)
+    values = dict(zip(header, row))
+    assert (values["S"], values["tv_bound"]) == ("1e+160", "0")
+    assert all(math.isfinite(float(v)) for v in row[1:])
+    assert np.isfinite(read_matrix(state_path)).all()
+
+
 @pytest.mark.parametrize("t", [1.0, 3.0])
 def test_sampled_compound_overflow_is_named_before_apply(tmp_path, capsys, recwarn, t):
     # the exact multiplier is finite at gaps of 2e-300, but two 1e308 kicks sum to inf
@@ -692,6 +706,39 @@ def test_bad_csv_out_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, comm
     assert captured.err.startswith("error: --csv-out:")
     assert captured.out == ""
     assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("updates,target", [
+    ({}, "run.json"),
+    ({"system": {"dim": 2}, "hamiltonian": {"matrix_file": "h.txt"}}, "./h.txt"),
+], ids=["config-file", "matrix-file"])
+def test_qpe_csv_out_naming_an_input_exits_2(tmp_path, monkeypatch, capsys, updates, target):
+    stand_in_samplers(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path / "h.txt", Z)
+    path = write_config(tmp_path, base_config(**{"sampler": {"shots": 10, "seed": 1},
+                                                 **updates}))
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["qpe", "--config", path, "--csv-out", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --csv-out:")
+    assert "which the run reads" in captured.err
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_qpe_ignores_outputs_it_does_not_write(tmp_path, capsys):
+    # qpe writes neither outputs.state nor outputs.metrics, so their paths go unresolved
+    path = write_config(tmp_path, base_config(
+        sampler={"shots": 10, "seed": 1},
+        outputs={"state": "gone/state.txt", "metrics": "taken"}))
+    (tmp_path / "taken").mkdir()
+    csv_path = tmp_path / "qpe.csv"
+    assert main(["qpe", "--config", path, "--csv-out", str(csv_path)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {csv_path}\n")
+    assert len(read_csv(csv_path)) == 3
+    assert main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: outputs.state:")
 
 
 def test_bench_draw_total_capped_before_any_draw(monkeypatch, capsys):

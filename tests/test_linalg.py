@@ -111,6 +111,17 @@ def test_trace_norm_values_and_invariance():
         trace_norm(np.ones((2, 3)))
 
 
+def test_unitary_at_stacks_over_an_array_of_times():
+    op = HermitianOperator(random_hermitian(4, np.random.default_rng(3)))
+    times = np.linspace(-3.0, 3.0, 7).reshape(7, 1)
+    stack = op.unitary_at(times)
+    assert stack.shape == (7, 1, 4, 4)
+    for k, s in enumerate(times[:, 0]):
+        assert np.array_equal(stack[k, 0], op.unitary_at(s))
+    values = np.exp(-0.5 * times * op.eigenvalues ** 2)
+    assert np.array_equal(op.function_of(values)[3], op.function_of(values[3]))
+
+
 def test_hermitian_operator_caches_and_evolves():
     op = HermitianOperator(Z)
     assert op.dim == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -46,11 +47,10 @@ from twirlsim.sampling import (
     MAX_SAMPLED_RATE,
     QPE_STREAMS,
     VERIFY_STREAMS,
-    compound_poisson_kicks,
     mean_sampled_cost,
 )
 
-from oracles import choi_of
+from oracles import choi_of, compound_poisson_kicks
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -81,6 +81,15 @@ def test_cutoff_domain():
         cutoff(1.0, 0.0)
     with pytest.raises(ValueError):
         cutoff(1.0, 4.0)
+
+
+def test_tv_bound_where_the_squared_window_overflows():
+    # S^2 overflows above about 1.3e154, while S^2 / 2t need not
+    assert tv_bound(1.0, 1e160) == 0.0
+    t, s_cut = 1e308, 1.5e154
+    expected = (mp.sqrt(2 / mp.pi) * mp.sqrt(t) / mp.mpf(s_cut)
+                * mp.exp(-mp.mpf(s_cut) ** 2 / (2 * mp.mpf(t))))
+    assert abs(tv_bound(t, s_cut) / float(expected) - 1.0) <= 1e-14
 
 
 def test_tv_bound_frozen_value_and_cap():
@@ -328,14 +337,16 @@ def test_gaussian_engine_matches_per_shot_choi(d, shots):
 COMPOUND_BASES = [Gaussian(0.5), Dirac(1.25), FiniteMixture(atoms=((0.8, 0.5), (-0.4, 0.5)))]
 
 
-@pytest.mark.parametrize("d,shots", ENGINE_CASES)
+# at rates up to 4 a batch holds 1024 shots, so 1025 shots end in a one-shot batch
+@pytest.mark.parametrize("d,shots", ENGINE_CASES + [(3, 1025)])
 def test_compound_engine_matches_per_shot_choi(d, shots):
     # numpy sums fewer than 8 values in order, up to 128 in eight partial sums,
-    # and more by pairwise halving: rate 0.3 gives shots with 0 to 2 kicks,
-    # rate 2 with 0 to 8, rate 40 with 9 to 128 and rate 300 with more than 128
+    # and more by pairwise halving: rate 0.05 gives mostly shots without kicks,
+    # rate 0.3 shots with 0 to 2 kicks, rate 2 with 0 to 8, rate 40 with 9 to
+    # 128 and rate 300 with more than 128
     op = HermitianOperator(random_hermitian(d, np.random.default_rng(d)))
     seed = 60 + d
-    for base, rate in itertools.product(COMPOUND_BASES, [0.3, 2.0, 40.0, 300.0]):
+    for base, rate in itertools.product(COMPOUND_BASES, [0.05, 0.3, 2.0, 40.0, 300.0]):
         case = (base, rate)
         emp, ledger = estimate_compound_channel(op, base, rate, shots, seed)
         kicks = [compound_poisson_kicks(rate, base, derived_rng(seed, i)) for i in range(shots)]
@@ -664,6 +675,21 @@ def test_estimate_compound_channel_zero_time():
     emp, ledger = estimate_compound_channel(Z, Dirac(1.0), t=0.0, shots=50, seed=2)
     assert np.abs(emp.choi - choi_of_superoperator(np.eye(4))).max() < 1e-15
     assert ledger.total_time == 0.0
+
+
+def test_compound_rate_cap_raises_before_any_stream(monkeypatch):
+    indices = []
+
+    def counting(seed, index):
+        indices.append(index)
+        return derived_rng(seed, index)
+
+    monkeypatch.setattr(sampling, "derived_rng", counting)
+    rate = 2.0 * MAX_SAMPLED_RATE
+    message = f"rate {rate} too large to sample (at most {MAX_SAMPLED_RATE:g})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        estimate_compound_channel(Z, Gaussian(0.5), rate, 10, seed=3)
+    assert indices == []
 
 
 def test_compound_estimate_at_rate_zero_draws_no_stream(monkeypatch):

@@ -13,7 +13,7 @@ import twirlsim.verify  # noqa: F401
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # deleted together with the hand-written Poisson sampler; the next benchmark
-# revision traces sampling.compound_poisson_kicks instead
+# revision drops it
 STALE = {"sampling.poisson_by_inversion"}
 
 
