@@ -29,6 +29,7 @@ from .linalg import trace_norm
 from .matio import format_float, write_matrix
 from .sampling import (
     MAX_RUN_DRAWS,
+    MAX_RUN_WORK,
     MAX_SAMPLED_RATE,
     MAX_SHOTS,
     ShotPlan,
@@ -106,6 +107,11 @@ def cmd_simulate(args) -> int:
             raise ConfigError("sampler.shots",
                               f"distribution {type(law).__name__} has no sampler; "
                               "run without shots")
+        dim = cfg.hamiltonian.dim
+        work = cfg.shots * dim ** 2
+        if work > MAX_RUN_WORK:
+            raise ConfigError("sampler.shots", f"{cfg.shots} shots at d={dim} take {work} phase "
+                                               f"products; at most {MAX_RUN_WORK:.0e} are allowed")
     exact = exact_channel(cfg.hamiltonian, law)
     if not np.isfinite(exact.multiplier).all():
         raise ConfigError("evolution.distribution",

@@ -2,7 +2,8 @@
 
 First line: "d d". Then d rows of d whitespace-separated entries, each
 written as re+imj (no spaces inside an entry) with 17 significant digits,
-which round-trips every finite double exactly. Example for the identity:
+which round-trips every finite double exactly; a row is one %-format string
+with the bytes of formatting each entry alone. Example for the identity:
 
     2 2
     1+0j 0+0j
@@ -24,21 +25,14 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def format_complex(z: complex) -> str:
-    z = complex(z)
-    re = format_float(z.real)
-    im = format_float(z.imag)
-    sign = "" if im.startswith("-") else "+"
-    return f"{re}{sign}{im}j"
-
-
 def matrix_to_text(m) -> str:
+    """The file text of m, one "%.17g%+.17gj ..." format per row: format_float's bytes for
+    each part, with the + flag writing the imaginary part's sign (of -0 and NaN too)."""
     mat = as_complex_matrix(m)
-    rows, cols = mat.shape
-    lines = [f"{rows} {cols}"]
-    for r in range(rows):
-        lines.append(" ".join(format_complex(mat[r, c]) for c in range(cols)))
-    return "\n".join(lines) + "\n"
+    row_format = " ".join(["%.17g%+.17gj"] * mat.shape[1])
+    # re and im interleaved; tolist() one row at a time keeps the peak low
+    rows = [row_format % tuple(row.tolist()) for row in np.ascontiguousarray(mat).view(np.float64)]
+    return "\n".join([f"{mat.shape[0]} {mat.shape[1]}", *rows]) + "\n"
 
 
 def write_matrix(path, m) -> None:

@@ -45,6 +45,8 @@ MAX_SAMPLED_RATE = 1e6  # a sampled compound shot holds about `rate` kicks
 # random draws over a whole run: compound kicks (shots * rate), qpe outcomes (dim * shots)
 # or bench draws (times * epsilons * draws)
 MAX_RUN_DRAWS = 10 ** 9
+# phase products over a sampled run, shots * d^2: a few minutes of accumulate at the cap
+MAX_RUN_WORK = 10 ** 12
 # first derived_rng index of each consumer other than shots and chunks
 QPE_STREAMS = 1 << 62
 BENCH_STREAMS = 2 << 62
@@ -130,7 +132,7 @@ def tv_bound(t: float, s_cut: float) -> float:
     """
     t, s_cut = _window(t, s_cut)
     try:
-        tail = math.exp(-s_cut ** 2 / (2.0 * t))
+        tail = math.exp(-s_cut ** 2 / t / 2.0)  # 2t would overflow for t above 9e307
     except OverflowError:
         # S^2 overflows, but S^2 / 2t = x * x may not, and x * x gives inf without raising;
         # taking x on every call would change the last bit of most finite bounds

@@ -5,7 +5,8 @@ superoperator action, the joint-generator exponential for commuting jumps,
 the output partial trace of a Choi matrix, and the Choi matrix of an exact
 twirl assembled through its superoperator. compound_poisson_kicks draws one
 compound Poisson shot on its own, the per-shot reference for the estimator's
-batched draws.
+batched draws. matrix_text_by_entry formats a matrix file one entry at a
+time, the reference for matrix_to_text's row formats.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from twirlsim import (
 from twirlsim.distributions import BaseLaw, sample_law
 from twirlsim.errors import ShapeError
 from twirlsim.linalg import as_complex_matrix, as_operator, require_square
+from twirlsim.matio import format_float
 from twirlsim.sampling import MAX_SAMPLED_RATE
 from twirlsim.twirling import _require_time
 
@@ -71,3 +73,21 @@ def compound_poisson_kicks(rate_time: float, base: BaseLaw,
         raise ValueError(f"rate {rate_time} too large to sample (at most {MAX_SAMPLED_RATE:g})")
     n = int(rng.poisson(rate_time))
     return np.asarray(sample_law(base, rng, size=n), dtype=np.float64)
+
+
+def format_complex(z: complex) -> str:
+    """One matrix-file entry re+imj: each part by format_float, a + only if im has no sign."""
+    z = complex(z)
+    re = format_float(z.real)
+    im = format_float(z.imag)
+    sign = "" if im.startswith("-") else "+"
+    return f"{re}{sign}{im}j"
+
+
+def matrix_text_by_entry(m) -> str:
+    mat = as_complex_matrix(m)
+    rows, cols = mat.shape
+    lines = [f"{rows} {cols}"]
+    for r in range(rows):
+        lines.append(" ".join(format_complex(mat[r, c]) for c in range(cols)))
+    return "\n".join(lines) + "\n"

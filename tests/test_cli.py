@@ -28,6 +28,7 @@ from twirlsim.config import MAX_QUBITS
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
 from twirlsim.sampling import (
     MAX_RUN_DRAWS,
+    MAX_RUN_WORK,
     MAX_SAMPLED_RATE,
     MAX_SHOTS,
     QPE_STREAMS,
@@ -400,6 +401,32 @@ def test_compound_kick_total_capped_before_any_draw(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err.startswith("error: sampler.shots:")
 
 
+@pytest.mark.parametrize("distribution", [
+    {"kind": "gaussian"},
+    {"kind": "truncated_gaussian", "cutoff": 3.0},
+    {"kind": "compound_poisson", "base": {"kind": "dirac", "location": 1.0}},
+], ids=["gaussian", "truncated", "compound"])
+def test_sampled_work_capped_before_any_draw(tmp_path, monkeypatch, capsys, distribution):
+    stand_in_samplers(monkeypatch)
+    dim = 2 ** 9
+    cfg = base_config(system={"qubits": 9}, hamiltonian={"pauli": "1.0 ZIIIIIIII"},
+                      evolution=_evolution(1.0, **distribution), sampler={"seed": 1},
+                      outputs={"state": "state.txt", "metrics": "metrics.csv"})
+    path = write_config(tmp_path, cfg)
+    at_limit = MAX_RUN_WORK // dim ** 2
+    assert at_limit <= MAX_SHOTS
+    with pytest.raises(SamplerReached):
+        main(["simulate", "--config", path, "--shots", str(at_limit)])
+    monkeypatch.setattr(cli, "exact_channel", lambda *args: pytest.fail("multiplier built"))
+    before = files_under(tmp_path)
+    assert main(["simulate", "--config", path, "--shots", str(at_limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: sampler.shots: {at_limit + 1} shots at d={dim} take "
+                                   f"{(at_limit + 1) * dim ** 2} phase products")
+    assert captured.out == ""
+    assert files_under(tmp_path) == before
+
+
 def test_compound_rate_capped_before_any_draw(tmp_path, monkeypatch, capsys):
     stand_in_samplers(monkeypatch)
     cfg = base_config(sampler={"shots": 1, "seed": 1},
@@ -549,17 +576,23 @@ def test_overflow_is_named_and_nothing_non_finite_is_written(tmp_path, capsys,
 
 
 def test_sampled_window_past_squared_overflow_gives_a_finite_bound(tmp_path, capsys):
-    # S^2 overflows for S above about 1.3e154; the tail bound is then 0, not a traceback
-    cfg = base_config(evolution=_evolution(1.0, kind="truncated_gaussian", cutoff=1e160),
-                      sampler={"shots": 100, "seed": 3})
-    code, state_path, metrics_path = run_simulate(tmp_path, cfg)
-    assert code == 0
-    assert capsys.readouterr().err == ""
-    header, row = read_csv(metrics_path)
-    values = dict(zip(header, row))
-    assert (values["S"], values["tv_bound"]) == ("1e+160", "0")
-    assert all(math.isfinite(float(v)) for v in row[1:])
-    assert np.isfinite(read_matrix(state_path)).all()
+    # S^2 overflows for S above about 1.3e154; the tail bound is then 0, not a traceback.
+    # 2t overflows for t above about 9e307; at S = sqrt(t) the bound is sqrt(2/pi) exp(-1/2),
+    # and gaps of 2e-300 keep that run's exact multiplier finite
+    cases = [({}, 1.0, 1e160, "1e+160", "0"),
+             ({"hamiltonian": {"pauli": "1e-300 Z"}}, 1e308, 1e154, "1e+154", "0.48394144903828673")]
+    for n, (updates, t, s_cut, s_text, bound_text) in enumerate(cases):
+        (tmp_path / str(n)).mkdir()
+        cfg = base_config(evolution=_evolution(t, kind="truncated_gaussian", cutoff=s_cut),
+                          sampler={"shots": 100, "seed": 3}, **updates)
+        code, state_path, metrics_path = run_simulate(tmp_path / str(n), cfg)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        header, row = read_csv(metrics_path)
+        values = dict(zip(header, row))
+        assert (values["S"], values["tv_bound"]) == (s_text, bound_text)
+        assert all(math.isfinite(float(v)) for v in row[1:])
+        assert np.isfinite(read_matrix(state_path)).all()
 
 
 @pytest.mark.parametrize("t", [1.0, 3.0])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from twirlsim import ParseError, read_matrix, write_matrix
-from twirlsim.matio import format_complex, format_float, matrix_to_text, parse_matrix_text
+from twirlsim.matio import format_float, matrix_to_text, parse_matrix_text
+
+from oracles import matrix_text_by_entry
 
 
 def test_format_float_round_trips():
@@ -12,11 +14,52 @@ def test_format_float_round_trips():
         assert float(format_float(x)) == x
 
 
-def test_format_complex_signs():
-    assert format_complex(1 + 2j) == "1+2j"
-    assert format_complex(1 - 2j) == "1-2j"
-    assert format_complex(complex(1.0, -0.0)) == "1-0j"
-    assert complex(format_complex(complex(1.0, -0.0))) == 1 - 0j
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan, -math.nan]
+
+
+def _with_specials() -> np.ndarray:
+    """Seeded 14 x 14 entries of wide exponent; the top-left block takes every pair of specials."""
+    rng = np.random.default_rng(58)
+    parts = rng.normal(size=(2, 14, 14)) * 10.0 ** rng.integers(-320, 308, size=(2, 14, 14))
+    n = len(SPECIALS)
+    parts[0, :n, :n] = np.array(SPECIALS)[:, None]
+    parts[1, :n, :n] = np.array(SPECIALS)[None, :]
+    m = np.empty((14, 14), dtype=np.complex128)
+    m.real, m.imag = parts  # assigned, not summed: 1j * inf would put a NaN in the real part
+    return m
+
+
+SPECIALS_MATRIX = _with_specials()
+ROW_FORMAT_CASES = {
+    "specials": SPECIALS_MATRIX,
+    "transposed": SPECIALS_MATRIX.T,
+    "fortran": np.asfortranarray(SPECIALS_MATRIX),
+    "1x1": np.array([[1.0 / 3.0 - 7e-310j]]),
+    "0x3": np.zeros((0, 3), dtype=np.complex128),
+    "2x0": np.zeros((2, 0), dtype=np.complex128),
+    "integer": np.arange(-5, 7).reshape(3, 4),
+    "real": np.array([[0.1 + 0.2, -0.0], [1e300, -1e-300]]),
+    "plus-imag": np.array([[1 + 2j]]),
+    "minus-imag": np.array([[1 - 2j]]),
+    "minus-zero-imag": np.array([[complex(1.0, -0.0)]]),
+}
+# the one entry of each sign case as the file spells it
+SIGN_TEXTS = {"plus-imag": "1+2j", "minus-imag": "1-2j", "minus-zero-imag": "1-0j"}
+
+
+@pytest.mark.parametrize("case", ROW_FORMAT_CASES)
+def test_matrix_text_matches_per_entry_format(case):
+    m = ROW_FORMAT_CASES[case]
+    text = matrix_to_text(m)
+    assert text == matrix_text_by_entry(m)
+    if case in SIGN_TEXTS:
+        assert text == f"1 1\n{SIGN_TEXTS[case]}\n"
+    if m.size and np.isfinite(m).all():
+        # read back exactly, the sign of every zero part included
+        back = parse_matrix_text(text)
+        assert np.array_equal(back, m)
+        assert np.array_equal(np.signbit(back.real), np.signbit(np.real(m)))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(np.imag(m)))
 
 
 def test_matrix_text_shape():

@@ -84,12 +84,12 @@ def test_cutoff_domain():
 
 
 def test_tv_bound_where_the_squared_window_overflows():
-    # S^2 overflows above about 1.3e154, while S^2 / 2t need not
+    # S^2 overflows above about 1.3e154, while S^2 / 2t need not; 2t overflows above about 9e307
     assert tv_bound(1.0, 1e160) == 0.0
-    t, s_cut = 1e308, 1.5e154
-    expected = (mp.sqrt(2 / mp.pi) * mp.sqrt(t) / mp.mpf(s_cut)
-                * mp.exp(-mp.mpf(s_cut) ** 2 / (2 * mp.mpf(t))))
-    assert abs(tv_bound(t, s_cut) / float(expected) - 1.0) <= 1e-14
+    for t, s_cut in ((1e308, 1.5e154), (1e308, 1e154), (1.7e308, 1.3e154)):
+        expected = (mp.sqrt(2 / mp.pi) * mp.sqrt(t) / mp.mpf(s_cut)
+                    * mp.exp(-mp.mpf(s_cut) ** 2 / (2 * mp.mpf(t))))
+        assert abs(tv_bound(t, s_cut) / float(expected) - 1.0) <= 1e-14
 
 
 def test_tv_bound_frozen_value_and_cap():
