@@ -235,7 +235,7 @@ def _build_hamiltonian(node, dim: int, qubits: int | None, base_dir: str) -> Her
             raise ConfigError("hamiltonian.pauli", "expected a string or list of strings")
         try:
             return parse_pauli_sum(text, qubits=qubits)
-        except (ParseError, HermiticityError) as exc:
+        except (ParseError, HermiticityError, np.linalg.LinAlgError) as exc:
             raise ConfigError("hamiltonian.pauli", str(exc)) from None
     path = _resolve_input_path(node["matrix_file"], "hamiltonian.matrix_file", base_dir)
     try:
@@ -244,7 +244,7 @@ def _build_hamiltonian(node, dim: int, qubits: int | None, base_dir: str) -> Her
             raise ConfigError("hamiltonian.matrix_file", f"matrix is {mat.shape[0]} x "
                               f"{mat.shape[1]}, expected {dim} x {dim}")
         return HermitianOperator(mat)
-    except (ParseError, HermiticityError) as exc:
+    except (ParseError, HermiticityError, np.linalg.LinAlgError) as exc:
         raise ConfigError("hamiltonian.matrix_file", f"{path}: {exc}") from None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, singledispatch
+from functools import cache, cached_property, singledispatch
 from typing import Union
 
 import numpy as np
@@ -87,6 +87,15 @@ class FiniteMixture:
         total = math.fsum(p for _, p in self.atoms)
         if abs(total - 1.0) > 1e-12:
             raise DistributionError(f"mixture probabilities sum to {total!r}, not 1")
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        # locations and cumulative probabilities, built once as Generator.choice builds them
+        locations = np.array([s for s, _ in self.atoms])
+        probs = np.array([p for _, p in self.atoms])
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        return locations, cdf
 
 
 BaseLaw = Union[Dirac, FiniteMixture, Gaussian]
@@ -284,9 +293,8 @@ def _(dist: Dirac, rng: np.random.Generator, size: int) -> np.ndarray:
 
 @sample_law.register
 def _(dist: FiniteMixture, rng: np.random.Generator, size: int) -> np.ndarray:
-    locations = np.array([s for s, _ in dist.atoms])
-    probs = np.array([p for _, p in dist.atoms])
-    probs = probs / probs.sum()
-    idx = rng.choice(len(locations), size=size, p=probs)
-    return locations[idx]
+    # the draw of rng.choice(len(locations), size, p=probs), stream and bytes alike,
+    # without validating and accumulating p again on every call
+    locations, cdf = dist._table
+    return locations[cdf.searchsorted(rng.random(size), side="right")]
 

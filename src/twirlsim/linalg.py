@@ -54,8 +54,8 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Ascending real eigenvalues and orthonormal eigenvector columns of a Hermitian matrix.
 
     Raises ShapeError for non-square input, and HermiticityError for a
-    non-finite entry or when the symmetry defect exceeds HERMITICITY_RTOL
-    relative to the largest entry.
+    non-finite entry, when the symmetry defect exceeds HERMITICITY_RTOL
+    relative to the largest entry, or when an eigenvalue overflows.
     """
     m = require_square(a)
     largest = float(np.abs(m).max())
@@ -67,6 +67,8 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
         raise HermiticityError(f"matrix is not Hermitian: defect {defect:.3e} "
                                f"exceeds {HERMITICITY_RTOL:.1e} * {scale:.3e}")
     w, v = np.linalg.eigh(m)
+    if not np.isfinite(w).all():
+        raise HermiticityError("an eigenvalue overflows")
     return w, _canonical_phases(v)
 
 

@@ -6,8 +6,12 @@ the output partial trace of a Choi matrix, and the Choi matrix of an exact
 twirl assembled through its superoperator. compound_poisson_kicks draws one
 compound Poisson shot on its own, the per-shot reference for the estimator's
 batched draws. matrix_text_by_entry formats a matrix file one entry at a
-time, the reference for matrix_to_text's row formats.
+time, the reference for matrix_to_text's row formats. pauli_matrix_by_kron
+adds up a Pauli sum through each word's dense kron chain, the reference for
+parse_pauli_sum's signed-permutation scatter.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -91,3 +95,19 @@ def matrix_text_by_entry(m) -> str:
     for r in range(rows):
         lines.append(" ".join(format_complex(mat[r, c]) for c in range(cols)))
     return "\n".join(lines) + "\n"
+
+
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def pauli_matrix_by_kron(terms, width: int) -> np.ndarray:
+    """sum of coeff * (kron of the 2 x 2 letter matrices) over (coeff, word) terms, in order."""
+    total = np.zeros((2 ** width, 2 ** width), dtype=np.complex128)
+    for coeff, word in terms:
+        total += coeff * reduce(np.kron, (PAULI_MATRICES[c] for c in word))
+    return total

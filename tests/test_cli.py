@@ -22,10 +22,11 @@ from twirlsim import (
     read_matrix,
     write_matrix,
 )
-from twirlsim import cli, cvqpe, pauli
+from twirlsim import ParseError, cli, cvqpe, linalg, pauli
 from twirlsim.cli import MAX_VERIFY_DIM, METRICS_HEADER, main
 from twirlsim.config import MAX_QUBITS
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
+from twirlsim.pauli import MAX_PAULI_WORK
 from twirlsim.sampling import (
     MAX_RUN_DRAWS,
     MAX_RUN_WORK,
@@ -163,28 +164,63 @@ def test_parse_pauli_dimension_mismatch(tmp_path):
     assert "dimension" in str(err.value)
 
 
-def refuse_pauli_matrices(monkeypatch):
-    def refuse(word):
-        raise AssertionError(f"built a matrix for a {len(word)}-letter word")
-    monkeypatch.setattr(pauli, "pauli_word_matrix", refuse)
+class PauliBuildReached(Exception):
+    """parse_pauli_sum touched numpy, which it does only to build the matrix."""
+
+
+def refuse_pauli_numpy(monkeypatch):
+    class Refuse:
+        def __getattr__(self, name):
+            raise PauliBuildReached(f"pauli.np.{name}")
+    monkeypatch.setattr(pauli, "np", Refuse())
 
 
 def test_parse_word_length_checked_before_any_matrix(tmp_path, monkeypatch):
-    refuse_pauli_matrices(monkeypatch)
-    data = base_config(hamiltonian={"pauli": "1.0 " + "X" * 40})
-    with pytest.raises(ConfigError) as err:
-        parse_config(data, base_dir=str(tmp_path))
-    assert err.value.location == "hamiltonian.pauli"
-    assert "dimension" in str(err.value)
+    refuse_pauli_numpy(monkeypatch)
+    # 2 letters pass the work cap, so only the width check can stop them
+    for letters in (2, 40):
+        data = base_config(hamiltonian={"pauli": "1.0 " + "X" * letters})
+        with pytest.raises(ConfigError) as err:
+            parse_config(data, base_dir=str(tmp_path))
+        assert err.value.location == "hamiltonian.pauli"
+        assert "dimension" in str(err.value)
 
 
 def test_parse_qubits_capped_before_any_matrix(tmp_path, monkeypatch):
-    refuse_pauli_matrices(monkeypatch)
+    refuse_pauli_numpy(monkeypatch)
     qubits = MAX_QUBITS + 1
     data = base_config(system={"qubits": qubits}, hamiltonian={"pauli": "1.0 " + "Z" * qubits})
     with pytest.raises(ConfigError) as err:
         parse_config(data, base_dir=str(tmp_path))
     assert err.value.location == "system.qubits"
+
+
+def test_pauli_work_capped_without_qubits(monkeypatch):
+    # a library call names no system size, so only the cap stops a 2^40 x 2^40 build
+    refuse_pauli_numpy(monkeypatch)
+    with pytest.raises(ParseError) as err:
+        pauli.parse_pauli_sum("1.0 " + "X" * 40)
+    assert str(err.value) == f"terms x 2^qubits is 1 x 2^40, more than the cap of {MAX_PAULI_WORK}"
+
+
+def test_pauli_work_capped_before_any_matrix(tmp_path, monkeypatch, capsys):
+    refuse_pauli_numpy(monkeypatch)
+    at_limit = MAX_PAULI_WORK // 2 ** MAX_QUBITS
+    assert at_limit == 16384
+    terms = ["0.5 " + "XYZI" * 2 + "ZZ"] * at_limit
+    cfg = base_config(system={"qubits": MAX_QUBITS}, hamiltonian={"pauli": terms},
+                      outputs={"state": "state.txt", "metrics": "metrics.csv"})
+    with pytest.raises(PauliBuildReached):
+        main(["simulate", "--config", write_config(tmp_path, cfg)])
+    cfg["hamiltonian"]["pauli"].append("-1 " + "Z" * MAX_QUBITS)
+    path = write_config(tmp_path, cfg)
+    before = files_under(tmp_path)
+    assert main(["simulate", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: hamiltonian.pauli: terms x 2^qubits is 16385 x 2^10, "
+                            f"more than the cap of {MAX_PAULI_WORK}\n")
+    assert captured.out == ""
+    assert files_under(tmp_path) == before
 
 
 def test_parse_matrix_file_hamiltonian(tmp_path):
@@ -528,6 +564,60 @@ def test_simulate_rejects_non_hermitian_matrix_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: hamiltonian.matrix_file:")
 
 
+@pytest.mark.parametrize("command", ["simulate", "qpe"])
+@pytest.mark.parametrize("hamiltonian,key", [({"pauli": "1.0 Z"}, "hamiltonian.pauli"),
+                                             ({"matrix_file": "h.txt"}, "hamiltonian.matrix_file")],
+                         ids=["pauli", "matrix_file"])
+def test_eigensolver_failure_names_its_key(tmp_path, monkeypatch, capsys, command,
+                                           hamiltonian, key):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(linalg, "eig_hermitian", fail)
+    write_matrix(tmp_path / "h.txt", Z)
+    cfg = base_config(hamiltonian=hamiltonian, sampler={"shots": 10, "seed": 1},
+                      outputs={"state": "state.txt", "metrics": "metrics.csv"})
+    path = write_config(tmp_path, cfg)
+    before = files_under(tmp_path)
+    argv = [command, "--config", path] + (["--csv-out", str(tmp_path / "qpe.csv")]
+                                          if command == "qpe" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key}:")
+    assert captured.err.endswith(": Eigenvalues did not converge\n")
+    assert captured.out == ""
+    assert files_under(tmp_path) == before
+
+
+# eigh fails to converge on this sum with some LAPACK builds; its spectrum reaches 2e308
+HARD_PAULI_SUM = ["0.035786967764803126 XII", "1e+308 YXX", "-0.27001039798862364 ZZX",
+                  "1e+308 ZXZ", "5e-324 IXY", "0.0005024844545833684 IZI",
+                  "-0.48986611197868063 ZYY", "0.0016659407140512403 YIY",
+                  "0.7292817915893176 IYX"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "qpe"])
+def test_hard_pauli_sum_gives_finite_output_or_names_its_key(tmp_path, capsys, command):
+    cfg = base_config(system={"qubits": 3}, hamiltonian={"pauli": HARD_PAULI_SUM},
+                      sampler={"shots": 10, "seed": 1},
+                      outputs={"state": "state.txt", "metrics": "metrics.csv"})
+    path = write_config(tmp_path, cfg)
+    before = files_under(tmp_path)
+    code = main([command, "--config", path, "--csv-out", str(tmp_path / "out.csv")]
+                if command == "qpe" else ["simulate", "--config", path])
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("error: hamiltonian.pauli:")
+        assert files_under(tmp_path) == before
+        return
+    assert code == 0
+    if command == "qpe":
+        numbers = [float(x) for row in read_csv(tmp_path / "out.csv")[1:] for x in row]
+    else:
+        numbers = [float(x) for x in read_csv(tmp_path / "metrics.csv")[1][1:] if x]
+        numbers.extend(read_matrix(tmp_path / "state.txt").view(np.float64).ravel())
+    assert all(math.isfinite(x) for x in numbers)
+
+
 @pytest.mark.parametrize("header", ["1 100000000000", "1 10000000000000000000"])
 def test_simulate_rejects_matrix_file_larger_than_its_body(tmp_path, capsys, header):
     (tmp_path / "h.txt").write_text(f"{header}\n0\n")
@@ -551,6 +641,12 @@ OVERFLOWING_RUNS = {
               "evolution.distribution"),
     "pauli": ("simulate", {"hamiltonian": {"pauli": ["1e308 Z", "1e308 Z"]}},
               "hamiltonian.pauli"),
+    # finite entries, but the eigenvalue 2e308 overflows
+    "pauli-spectrum": ("simulate", {"hamiltonian": {"pauli": ["1e308 I", "1e308 X"]}},
+                       "hamiltonian.pauli"),
+    "pauli-spectrum-qpe": ("qpe", {"hamiltonian": {"pauli": ["1e308 I", "1e308 X"]},
+                                   "sampler": {"shots": 100, "seed": 1}},
+                           "hamiltonian.pauli"),
     "compound": ("simulate", {"evolution": _evolution(1.0, kind="compound_poisson",
                                                       base={"kind": "dirac", "location": 1e308}),
                               "sampler": {"shots": 100, "seed": 1}},

@@ -218,6 +218,26 @@ def test_sample_law_moments():
     assert set(np.unique(ys)) == {2.0, -1.0}
 
 
+@pytest.mark.parametrize("atoms", [
+    ((2.0, 0.25), (-1.0, 0.75)),
+    ((0.8, 0.5), (-0.4, 0.5)),
+    ((0.1, 0.2), (5.0, 0.0), (-3.0, 0.8)),  # a zero-probability atom is never drawn
+    ((-0.7, 1 / 3), (0.3, 1 / 3), (1.9, 1 / 3)),
+    ((4.0, 1.0),),
+], ids=["quarter", "half", "zero-atom", "thirds", "one-atom"])
+def test_mixture_draw_matches_generator_choice(atoms):
+    mix = FiniteMixture(atoms=atoms)
+    locations = np.array([s for s, _ in atoms])
+    probs = np.array([p for _, p in atoms])
+    for seed in range(40):
+        for size in (0, 1, 2, 3, 17, 100):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = sample_law(mix, ours, size=size)
+            expected = locations[theirs.choice(len(atoms), size=size, p=probs / probs.sum())]
+            assert drawn.tobytes() == expected.tobytes()
+            assert ours.random() == theirs.random()
+
+
 # ---------------------------------------------------------------------------
 # properties of char_minus over random laws
 # ---------------------------------------------------------------------------
