@@ -128,12 +128,16 @@ def cptp_check(mat) -> CPTPReport:
     CP holds iff the multiplier matrix is PSD; TP holds iff its diagonal is
     all ones. The minimum eigenvalue is taken of the Hermitian part, and a
     symmetry defect beyond |CP_EIG_TOL| also disqualifies CP. A multiplier
-    with a non-finite entry is neither, with NaN for both measures.
+    with a non-finite entry is neither, with NaN for both measures. A real
+    multiplier, as every symmetric law gives, is checked in real arithmetic:
+    the same defect and diagonal, and the same spectrum to rounding.
     """
     mat = require_square(mat)
     if not np.isfinite(mat).all():
         return CPTPReport(is_cp=False, is_tp=False, min_eigenvalue=math.nan,
                           max_diag_deviation=math.nan)
+    if not mat.imag.any():
+        mat = mat.real
     defect = hermiticity_defect(mat)
     min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
     max_diag = float(np.abs(np.diag(mat) - 1.0).max())
@@ -156,7 +160,7 @@ def apply_schur(m: SchurMultiplier, rho) -> np.ndarray:
         warnings.warn(
             f"multiplier fails CPTP check (cp={report.is_cp}, tp={report.is_tp}); "
             "applying anyway", CPTPWarning, stacklevel=2)
-    if np.array_equal(m.multiplier, np.ones_like(m.multiplier)):
+    if (m.multiplier == 1.0).all():
         # identity channel: skip the basis rotations so the state is untouched
         return rho.copy()
     u = m.eigenbasis

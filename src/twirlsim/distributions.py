@@ -222,13 +222,21 @@ def _(dist: CompoundPoisson, omega):
 
 
 def _truncated_char_rule(variance: float, width: float, freqs: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre cosine transform of the density on [-W, W], over its value at freqs[0] = 0."""
+    """Gauss-Legendre cosine transform of the density on [-W, W], over its value at freqs[0] = 0.
+
+    The nodes are antisymmetric and cos is even, so each block takes one
+    cosine per node pair and mirrors it into the negative nodes' columns.
+    """
     nodes, weights = _gl_nodes(TRUNCATED_CHAR_NODES)
     s = nodes * width
     density_weights = weights * np.exp(-0.5 * s ** 2 / variance)
+    half = TRUNCATED_CHAR_NODES // 2
     rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
-    sums = np.concatenate([np.cos(np.multiply.outer(freqs[i:i + rows], s)) @ density_weights
-                           for i in range(0, freqs.size, rows)])
+    sums = []
+    for i in range(0, freqs.size, rows):
+        cosines = np.cos(np.multiply.outer(freqs[i:i + rows], s[half:]))
+        sums.append(np.concatenate([cosines[:, ::-1], cosines], axis=1) @ density_weights)
+    sums = np.concatenate(sums)
     return sums / sums[0]
 
 

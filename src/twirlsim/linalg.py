@@ -31,9 +31,8 @@ def require_square(a) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(a) -> float:
-    """Largest entrywise deviation |A - A^dagger|."""
-    m = as_complex_matrix(a)
+def hermiticity_defect(m: np.ndarray) -> float:
+    """Largest entrywise deviation |M - M^dagger| of a square array, in its own arithmetic."""
     return float(np.abs(m - m.conj().T).max())
 
 

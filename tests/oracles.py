@@ -8,14 +8,19 @@ compound Poisson shot on its own, the per-shot reference for the estimator's
 batched draws. matrix_text_by_entry formats a matrix file one entry at a
 time, the reference for matrix_to_text's row formats. pauli_matrix_by_kron
 adds up a Pauli sum through each word's dense kron chain, the reference for
-parse_pauli_sum's signed-permutation scatter.
+parse_pauli_sum's signed-permutation scatter. truncated_char_rule_by_every_node
+takes one cosine per quadrature node, the reference for the truncated-Gaussian
+rule's one cosine per node pair, and cptp_check_complex checks a multiplier in
+complex arithmetic, the reference for cptp_check's real path.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
 
 from twirlsim import (
+    CPTPReport,
     choi_of_superoperator,
     dissipator_matrix,
     exact_channel,
@@ -23,7 +28,14 @@ from twirlsim import (
     unvec,
     vec,
 )
-from twirlsim.distributions import BaseLaw, sample_law
+from twirlsim.channels import CP_EIG_TOL, TP_DIAG_TOL
+from twirlsim.distributions import (
+    TRUNCATED_CHAR_BLOCK,
+    TRUNCATED_CHAR_NODES,
+    BaseLaw,
+    _gl_nodes,
+    sample_law,
+)
 from twirlsim.errors import ShapeError
 from twirlsim.linalg import as_complex_matrix, as_operator, require_square
 from twirlsim.matio import format_float
@@ -111,3 +123,29 @@ def pauli_matrix_by_kron(terms, width: int) -> np.ndarray:
     for coeff, word in terms:
         total += coeff * reduce(np.kron, (PAULI_MATRICES[c] for c in word))
     return total
+
+
+def truncated_char_rule_by_every_node(variance: float, width: float,
+                                      freqs: np.ndarray) -> np.ndarray:
+    """The truncated-Gaussian quadrature rule with one cosine per node and frequency."""
+    nodes, weights = _gl_nodes(TRUNCATED_CHAR_NODES)
+    s = nodes * width
+    density_weights = weights * np.exp(-0.5 * s ** 2 / variance)
+    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
+    sums = np.concatenate([np.cos(np.multiply.outer(freqs[i:i + rows], s)) @ density_weights
+                           for i in range(0, freqs.size, rows)])
+    return sums / sums[0]
+
+
+def cptp_check_complex(mat) -> CPTPReport:
+    """cptp_check with the defect, the Hermitian part and its spectrum in complex arithmetic."""
+    mat = require_square(mat)
+    if not np.isfinite(mat).all():
+        return CPTPReport(is_cp=False, is_tp=False, min_eigenvalue=math.nan,
+                          max_diag_deviation=math.nan)
+    defect = float(np.abs(mat - mat.conj().T).max())
+    min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
+    max_diag = float(np.abs(np.diag(mat) - 1.0).max())
+    is_cp = min_eig >= CP_EIG_TOL and defect <= abs(CP_EIG_TOL)
+    return CPTPReport(is_cp=is_cp, is_tp=max_diag <= TP_DIAG_TOL,
+                      min_eigenvalue=min_eig, max_diag_deviation=max_diag)

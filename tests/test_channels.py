@@ -5,28 +5,38 @@ import numpy as np
 import pytest
 
 from twirlsim import (
+    CompoundPoisson,
     CPTPWarning,
+    Dirac,
+    FiniteMixture,
+    Gaussian,
+    HermitianOperator,
     HermiticityError,
+    LevyTriplet,
     SchurMultiplier,
     ShapeError,
+    TruncatedGaussian,
     apply_choi,
     apply_schur,
     basis_state,
+    char_minus,
     check_choi,
     check_density_matrix,
     choi_of_superoperator,
     choi_trace_distance,
     cptp_check,
     eig_hermitian,
+    exact_channel,
     maximally_mixed,
     plus_state,
     random_density_matrix,
+    scale_triplet,
     superoperator_of_schur,
     trace_norm,
     vec,
 )
 
-from oracles import apply_superoperator, partial_trace_output
+from oracles import apply_superoperator, cptp_check_complex, partial_trace_output
 
 rng = np.random.default_rng(7)
 
@@ -90,6 +100,90 @@ def test_cptp_check_flags():
     assert neg.min_eigenvalue < -0.4
 
 
+REAL_LAWS = {"gaussian": Gaussian(variance=0.8),
+             "truncated": TruncatedGaussian(variance=0.8, cutoff=2.1),
+             "compound-gaussian": CompoundPoisson(rate=1.5, base=Gaussian(variance=0.5))}
+
+
+@pytest.fixture
+def eigvalsh_dtypes(monkeypatch):
+    """The dtype of every matrix passed to np.linalg.eigvalsh, in call order."""
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 64])
+@pytest.mark.parametrize("law", REAL_LAWS.values(), ids=REAL_LAWS.keys())
+def test_real_multiplier_checked_in_real_arithmetic(dim, law, eigvalsh_dtypes):
+    case_rng = np.random.default_rng(dim)
+    for scale in (0.05, 1.0, 6.0):
+        lam = np.sort(case_rng.normal(scale=scale, size=dim))
+        m = char_minus(law, lam[:, None] - lam[None, :])
+        assert m.dtype == np.complex128 and not m.imag.any()
+        got = cptp_check(m)
+        assert eigvalsh_dtypes[-1] == np.float64
+        want = cptp_check_complex(m)
+        assert eigvalsh_dtypes[-1] == np.complex128
+        assert got.is_cp and got.is_tp
+        assert (got.is_cp, got.is_tp, got.max_diag_deviation) == \
+            (want.is_cp, want.is_tp, want.max_diag_deviation)
+        assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-12
+
+
+def test_real_path_takes_signed_zero_imaginary_parts_only(eigvalsh_dtypes):
+    lam = np.sort(rng.normal(size=6))
+    m = char_minus(Gaussian(variance=0.7), lam[:, None] - lam[None, :])
+    signed = m.copy()
+    signed.imag = -0.0
+    signed.imag[::2] = 0.0
+    assert np.signbit(signed.imag).any()
+    assert cptp_check(signed) == cptp_check(m)
+    assert eigvalsh_dtypes == [np.float64, np.float64]
+    # the smallest imaginary part keeps the complex check, which alone sees this
+    # multiplier fail: its real part is the identity, its eigenvalues are 1 +- 1.5
+    for im in (5e-324, 1.5):
+        m = np.array([[1.0, 1j * im], [-1j * im, 1.0]])
+        report = cptp_check(m)
+        assert eigvalsh_dtypes[-1] == np.complex128
+        assert report == cptp_check_complex(m)
+        assert report.is_cp == (im < 1.0)
+
+
+def test_real_indefinite_multiplier_fails_cp_and_warns():
+    for m in (np.array([[1.0, 1.5], [1.5, 1.0]]),  # symmetric, eigenvalue -0.5
+              np.array([[1.0, 0.5], [0.2, 1.0]])):  # PSD symmetric part, but not symmetric
+        report = cptp_check(m)
+        want = cptp_check_complex(m)
+        assert not report.is_cp and report.is_tp
+        assert (report.is_cp, report.is_tp, report.max_diag_deviation) == \
+            (want.is_cp, want.is_tp, want.max_diag_deviation)
+        assert abs(report.min_eigenvalue - want.min_eigenvalue) <= 1e-12
+        with pytest.warns(CPTPWarning):
+            apply_schur(SchurMultiplier(np.eye(2, dtype=complex), m), PLUS)
+
+
+def test_every_law_applies_at_d64_without_cptp_warning():
+    g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    op = HermitianOperator(g + g.conj().T)
+    rho = random_density_matrix(64, rng)
+    laws = [Gaussian(variance=1.3), TruncatedGaussian(variance=1.3, cutoff=3.9),
+            Dirac(location=0.9), FiniteMixture(atoms=((-0.6, 0.3), (1.1, 0.7))),
+            CompoundPoisson(rate=1.3, base=Dirac(location=0.8)),
+            CompoundPoisson(rate=1.3, base=Gaussian(variance=0.5)),
+            scale_triplet(LevyTriplet(sigma2=0.4, gamma=0.2, atoms=((0.7, 0.5),),
+                                      compensated=True), 1.3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CPTPWarning)
+        for law in laws:
+            check_density_matrix(exact_channel(op, law).apply(rho))
+
+
 def _density_verdict(m):
     with pytest.raises(ValueError, match="non-finite"):
         check_density_matrix(m)
@@ -116,6 +210,12 @@ def test_non_finite_input_is_rejected_by_every_verdict(verdict, dim, fill):
         m = maximally_mixed(dim)
         m[dim - 1, dim - 1] = np.inf
     verdict(m)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_non_finite_real_multiplier_gives_the_nan_report(fill):
+    for m in (np.array([[1.0, fill], [fill, 1.0]]), np.array([[1.0, fill], [fill, 1.0]]) + 0j):
+        _cptp_verdict(m)
 
 
 def test_choi_of_identity_superoperator():

@@ -19,6 +19,15 @@ from twirlsim import (
     sample_law,
     scale_triplet,
 )
+from twirlsim import distributions
+from twirlsim.distributions import (
+    TRUNCATED_CHAR_BLOCK,
+    TRUNCATED_CHAR_MAX_PHASE,
+    TRUNCATED_CHAR_NODES,
+    TRUNCATED_CHAR_SIGMAS,
+)
+
+from oracles import truncated_char_rule_by_every_node
 
 rng = np.random.default_rng(12)
 
@@ -103,6 +112,55 @@ def test_truncated_gaussian_char_large_gaps_against_closed_form():
         got = char_minus(TruncatedGaussian(variance=v, cutoff=s_cut), ws)
         for w, value in zip(ws, got):
             assert abs(value - closed_form(v, s_cut, w)) < 1e-12, (v, ratio, w)
+
+
+def _truncated_rule_cases():
+    """(law, omega) pairs: random spectra at d up to 70 over many variances and cutoffs,
+    a frequency array longer than a block of the rule, and one gap past the rule's reach."""
+    case_rng = np.random.default_rng(2020)
+    cases = []
+    for _ in range(80):
+        d = int(case_rng.integers(1, 71))
+        lam = case_rng.normal(scale=10 ** case_rng.uniform(-2.0, 1.5), size=d)
+        variance = 10 ** case_rng.uniform(-3.0, 2.0)
+        cutoff = math.sqrt(variance) * float(case_rng.choice(
+            [math.sqrt(2.0 * math.log(4.0 / 0.01)), case_rng.uniform(0.01, 12.0), 1e3]))
+        cases.append((TruncatedGaussian(variance=variance, cutoff=cutoff),
+                      lam[:, None] - lam[None, :]))
+    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
+    cases.append((TruncatedGaussian(variance=1.0, cutoff=3.0),
+                  np.linspace(-9.0, 9.0, 4 * rows + 75)))
+    cases.append((TruncatedGaussian(variance=4.0, cutoff=3.0), np.array([[0.0, 40.0],
+                                                                        [-40.0, 0.0]])))
+    return cases
+
+
+def test_mirrored_truncated_rule_matches_the_every_node_rule_byte_for_byte(monkeypatch):
+    # one cosine per node pair gives the same matrix, and so the same sums, only because
+    # the Gauss-Legendre nodes are exactly antisymmetric and cos is exactly even
+    nodes, _ = distributions._gl_nodes(TRUNCATED_CHAR_NODES)
+    assert np.array_equal(nodes, -nodes[::-1])
+    half = TRUNCATED_CHAR_NODES // 2
+    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
+    branches, longest = set(), 0
+    for dist, omega in _truncated_rule_cases():
+        width = min(dist.cutoff, TRUNCATED_CHAR_SIGMAS * math.sqrt(dist.variance))
+        freqs = np.unique(np.append(0.0, np.abs(omega)))
+        near = freqs[freqs * width < TRUNCATED_CHAR_MAX_PHASE]
+        branches.add((near.size > 1, near.size < freqs.size))
+        longest = max(longest, near.size)
+        x = np.multiply.outer(near, nodes[half:] * width)
+        assert np.array_equal(np.cos(-x), np.cos(x))
+        got = distributions._truncated_char_rule(dist.variance, width, near)
+        want = truncated_char_rule_by_every_node(dist.variance, width, near)
+        assert got.tobytes() == want.tobytes()
+        value = char_minus(dist, omega)
+        with monkeypatch.context() as patch:
+            patch.setattr(distributions, "_truncated_char_rule", truncated_char_rule_by_every_node)
+            assert value.tobytes() == char_minus(dist, omega).tobytes()
+    # spectra on the rule only, on the series only, and on both; and more than one block
+    assert {(True, False), (False, True), (True, True)} <= branches
+    assert longest > rows
 
 
 def test_char_minus_vectorized_and_conjugate_symmetric():
