@@ -13,7 +13,10 @@ multipliers phi phi^dag with phi_j = exp(-i lambda_j s).
 Reproducibility: shots form fixed chunks of CHUNK_SHOTS. A Gaussian chunk
 draws all its times from one counter-based stream derived from
 (seed, chunk_index); a compound shot draws its kick count, then its kicks
-if the count is not 0, from a stream derived from (seed, shot_index). The
+if the count is not 0, from a stream derived from (seed, shot_index). A
+compound run moves one Philox generator from shot stream to shot stream by
+setting its full state, so each shot still reads exactly the stream
+(seed, shot_index), with the same bytes as a freshly built one. The
 base law's sampler is looked up once per run, not once per shot. Compound
 shots are drawn in batches of at most about CHUNK_SHOTS kicks; a batch
 groups its shots by kick count n and sums each group as one [m, n] array
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -52,8 +55,6 @@ QPE_STREAMS = 1 << 62
 BENCH_STREAMS = 2 << 62
 VERIFY_STREAMS = 3 << 62
 _STREAM_INDICES = 1 << 64  # stream indices, and seeds mod this, are one uint64 word
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # copied per stream: cheaper than a list
-_ZERO_COUNTER.flags.writeable = False
 _MAX_EPSILON = 4.0  # cutoff is real and positive only for epsilon below 4
 
 
@@ -61,8 +62,7 @@ class _PhiloxKey(ISeedSequence):
     """Seed sequence that hands Philox one fixed 128-bit key, [key, 0], as is.
 
     Philox(key=...) would first build a SeedSequence from OS entropy and
-    then overwrite it; this supplies the key words directly instead. The
-    words are read-only, since every stream under one seed shares them.
+    then overwrite it; this supplies the key words directly instead.
     """
 
     __slots__ = ("_words",)
@@ -77,27 +77,34 @@ class _PhiloxKey(ISeedSequence):
         return self._words
 
 
-@lru_cache(maxsize=8)
-def _philox_key(key: int) -> _PhiloxKey:
-    """One shared key per seed: building it takes about a sixth of the time of a stream."""
-    return _PhiloxKey(key)
-
-
-def derived_rng(seed: int, index: int) -> np.random.Generator:
+def derived_rng(seed: int, index: int, reuse: np.random.Generator | None = None
+                ) -> np.random.Generator:
     """Independent reproducible stream number `index` under a 64-bit seed.
 
     Uses a counter-based generator: the key is the seed mod 2^64, the counter
     starts at a disjoint 2^192-sized block per index, so streams never
     overlap and can be created in any order. A stream is a function of
     (seed, index) alone: no OS entropy is read. index must be in [0, 2^64).
+
+    Given `reuse`, a Generator over Philox, no generator is built: the full
+    state of reuse's Philox (key, counter, buffer and the pending 32-bit
+    half) is set to that of a fresh stream (seed, index), and reuse is
+    returned. Its draws are then the fresh stream's bit for bit, whatever
+    reuse drew before; setting the state costs under a third of building
+    a stream. A reuse over another bit generator raises ValueError.
     """
     index = int(index)
     if not 0 <= index < _STREAM_INDICES:
         raise ValueError(f"stream index must be in [0, 2**64), got {index}")
-    counter = _ZERO_COUNTER.copy()
-    counter[3] = index
-    key = _philox_key(int(seed) % _STREAM_INDICES)
-    return np.random.Generator(np.random.Philox(key, counter=counter))
+    if reuse is None:
+        reuse = np.random.Generator(np.random.Philox(_PhiloxKey(0)))
+    # the state of a fresh Philox with key (seed, 0) and counter (0, 0, 0, index); another
+    # bit generator's state setter raises ValueError on it
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, index), "key": (int(seed) % _STREAM_INDICES, 0)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return reuse
 
 
 def cutoff(t: float, epsilon: float) -> float:
@@ -304,6 +311,8 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
 
     Shot i draws its kick count n, then its n kicks, from its own stream
     derived_rng(seed, i); a shot with n = 0 draws nothing after its count.
+    One generator serves the run: each shot moves it to the shot's stream
+    (derived_rng's reuse), which draws the same bytes as a fresh stream.
     The base law's sampler is looked up once per run. Shots are drawn in
     batches of at most about CHUNK_SHOTS kicks and at most CHUNK_SHOTS / 4
     shots, so memory stays bounded at any rate. A batch is reduced with two
@@ -322,11 +331,7 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
     if t > 0.0:
         draw = sample_law.dispatch(type(base))
         no_kicks = np.zeros(0)
-
-        def shot_kicks(rng):
-            n = int(rng.poisson(t))
-            return np.asarray(draw(base, rng, n), dtype=np.float64) if n else no_kicks
-
+        rng = None  # built for shot 0, then moved to each next shot's stream
         # a shot has t kicks on average: a batch holds about CHUNK_SHOTS kicks at rates
         # above 4, and at most CHUNK_SHOTS / 4 shots, since each held shot costs ~250 bytes
         step = max(1, int(CHUNK_SHOTS / max(t, 4.0)))
@@ -335,7 +340,11 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
             # the previous batch is released only after this one is drawn: releasing it
             # first lets malloc return its pages to the OS, which a rate-1e5 shot then
             # faults in again, about 13% slower
-            batch = [shot_kicks(derived_rng(seed, i)) for i in range(first, last)]
+            batch = []
+            for i in range(first, last):
+                rng = derived_rng(seed, i, rng)
+                n = int(rng.poisson(t))
+                batch.append(np.asarray(draw(base, rng, n), dtype=np.float64) if n else no_kicks)
             _sum_kicks(batch, times[first:last], costs[first:last])
     ledger = CostLedger(per_shot_times=costs, worst_case=float(costs.max()))
     return empirical_channel(h, times), ledger

@@ -3,6 +3,9 @@
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from twirlsim import cli, config
@@ -87,3 +90,20 @@ def test_digest_lines_are_reproducible():
     assert "state.txt=" in first["exact-q6-t4-truncated"]
     assert "metrics.csv=" in first["sampled-compound-mixture-shots4097-seed-9"]
     assert "qpe.csv=" in first["qpe-csv-out"] and "bench.csv=" in first["bench-csv-out"]
+
+
+def test_header_names_numpy_blas_and_thread_count():
+    """The header reports the threads OpenBLAS runs, not only the variable that sets them."""
+    import numpy as np
+
+    line = digest.header()
+    assert line.startswith(f"# numpy {np.__version__}, blas ")
+    assert "\n" not in line
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    code = ("import importlib.util, sys; spec = importlib.util.spec_from_file_location("
+            f"'output_digest', {str(TOOL)!r}); module = importlib.util.module_from_spec(spec); "
+            "spec.loader.exec_module(module); print(module.header())")
+    one = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.strip()
+    assert one.startswith(line.split(", blas threads ")[0] + ", blas threads ")
+    assert one.endswith((", blas threads 1", "(OPENBLAS_NUM_THREADS=1)"))

@@ -393,9 +393,9 @@ def test_bench_and_qpe_share_no_draw_with_chunk_zero():
 def test_stream_consumers_read_disjoint_indices(monkeypatch):
     indices = []
 
-    def recording(seed, index):
+    def recording(seed, index, reuse=None):
         indices.append(index)
-        return derived_rng(seed, index)
+        return derived_rng(seed, index, reuse)
 
     for module in (sampling, cvqpe, verify):
         monkeypatch.setattr(module, "derived_rng", recording)
@@ -468,6 +468,51 @@ def test_derived_rng_rejects_index_outside_one_word(index):
         derived_rng(7, index)
 
 
+def philox_state(rng: np.random.Generator) -> tuple:
+    state = rng.bit_generator.state
+    return (tuple(state["state"]["counter"]), tuple(state["state"]["key"]),
+            tuple(state["buffer"]), state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+def used_generators(seed: int):
+    """Philox generators that drew before: under another seed, mid-buffer, with a 32-bit half."""
+    other = derived_rng(seed + 1, 5)
+    other.normal(size=8)
+    mid_buffer = derived_rng(seed, 3)
+    mid_buffer.normal(size=3)  # an odd count leaves a partly read Philox buffer
+    half = derived_rng(seed, 0)
+    half.normal(size=2)
+    half.integers(0, 10, size=1, dtype=np.uint32)  # keeps the other half of a 64-bit word
+    assert half.bit_generator.state["has_uint32"] == 1
+    return {"other-seed": other, "mid-buffer": mid_buffer, "pending-uint32": half}
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_derived_rng_reuse_draws_the_fresh_stream(seed):
+    for index in STREAM_INDICES:
+        for name, used in used_generators(seed).items():
+            rng, fresh = derived_rng(seed, index, used), reference_rng(seed, index)
+            assert rng is used
+            assert philox_state(rng) == philox_state(fresh), (seed, index, name)
+            # raw 32-bit draws first: they read a pending half, which draws_of never does
+            ours = [rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)] + draws_of(rng)
+            reference = [fresh.integers(0, 2 ** 32, size=3, dtype=np.uint32)] + draws_of(fresh)
+            for a, b in zip(ours, reference):
+                assert np.array_equal(a, b), (seed, index, name)
+
+
+def test_derived_rng_reuse_checks_index_and_bit_generator():
+    used = derived_rng(7, 0)
+    used.normal(size=3)
+    before = philox_state(used)
+    for index in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            derived_rng(7, index, used)
+    assert philox_state(used) == before  # the index is checked before the state is set
+    with pytest.raises(ValueError):
+        derived_rng(7, 0, np.random.default_rng(0))
+
+
 def test_philox_key_refuses_any_other_state_request():
     key = sampling._PhiloxKey(7)
     assert np.array_equal(key.generate_state(2, np.uint64), [7, 0])
@@ -499,7 +544,9 @@ def test_derived_rng_reads_no_os_entropy(monkeypatch):
 def test_compound_estimate_reads_reference_streams(monkeypatch, rate, base):
     op = HermitianOperator(random_hermitian(3, np.random.default_rng(5)))
     emp, ledger = estimate_compound_channel(op, base, rate, 40, seed=-9)
-    monkeypatch.setattr(sampling, "derived_rng", reference_rng)
+    # a fresh reference stream per shot, whatever generator the engine offers for reuse
+    monkeypatch.setattr(sampling, "derived_rng",
+                        lambda seed, index, reuse=None: reference_rng(seed, index))
     ref_emp, ref_ledger = estimate_compound_channel(op, base, rate, 40, seed=-9)
     assert np.array_equal(emp.multiplier, ref_emp.multiplier)
     assert np.array_equal(ledger.per_shot_times, ref_ledger.per_shot_times)
@@ -680,9 +727,9 @@ def test_estimate_compound_channel_zero_time():
 def test_compound_rate_cap_raises_before_any_stream(monkeypatch):
     indices = []
 
-    def counting(seed, index):
+    def counting(seed, index, reuse=None):
         indices.append(index)
-        return derived_rng(seed, index)
+        return derived_rng(seed, index, reuse)
 
     monkeypatch.setattr(sampling, "derived_rng", counting)
     rate = 2.0 * MAX_SAMPLED_RATE
@@ -695,9 +742,9 @@ def test_compound_rate_cap_raises_before_any_stream(monkeypatch):
 def test_compound_estimate_at_rate_zero_draws_no_stream(monkeypatch):
     indices = []
 
-    def counting(seed, index):
+    def counting(seed, index, reuse=None):
         indices.append(index)
-        return derived_rng(seed, index)
+        return derived_rng(seed, index, reuse)
 
     monkeypatch.setattr(sampling, "derived_rng", counting)
     emp, ledger = estimate_compound_channel(Z, Gaussian(0.5), t=0.0, shots=40, seed=3)

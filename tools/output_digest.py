@@ -5,9 +5,13 @@ Usage, from the root of a checkout:
     python3 tools/output_digest.py > digest.txt
 
 Every case runs in-process through ``twirlsim.cli.main``, imported from this
-checkout's ``src/``, in a fresh temporary directory. It prints one line per
-case: the name, the exit code, and the sha256 of stdout, of stderr, of the
-warnings raised (category and message), and of each file the case wrote.
+checkout's ``src/``, in a fresh temporary directory. A first line, starting
+with ``#``, names the numpy version, its BLAS and the number of threads
+OpenBLAS runs (``OPENBLAS_NUM_THREADS`` where that cannot be read): outputs
+are byte-stable only for the same build and BLAS thread count. Then it
+prints one line per case: the name, the exit code, and the sha256 of stdout,
+of stderr, of the warnings raised (category and message), and of each file
+the case wrote.
 Before hashing, the temporary directory's path is replaced by ``<work>`` and
 the ``wall_seconds`` column of the metrics file, its last, is blanked: the
 run's own timing is its one non-deterministic output. An empty stream prints
@@ -196,8 +200,23 @@ def digest_lines() -> list[str]:
     return [f"{name} {run_case(main, argv, config)}" for name, argv, config in cases()]
 
 
+def header() -> str:
+    """One `#` line naming what the bytes depend on beyond the seed: numpy, its BLAS, its threads.
+
+    The thread count is the one OpenBLAS reports, as in the benchmark's
+    metadata; where it cannot be read, OPENBLAS_NUM_THREADS stands in.
+    """
+    import numpy as np
+
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
+    from perfbench.run import _blas_name, _blas_threads
+    return f"# numpy {np.__version__}, blas {_blas_name(np)}, blas threads {_blas_threads(np)}"
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
+    print(header(), flush=True)
     for line in digest_lines():
         print(line, flush=True)
     return 0
