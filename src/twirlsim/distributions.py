@@ -24,7 +24,10 @@ TRUNCATED_CHAR_NODES = 64
 TRUNCATED_CHAR_SIGMAS = 8.0  # the N(0, v) mass beyond 8 sigma is about 1e-15
 TRUNCATED_CHAR_MAX_PHASE = 32.0  # |omega| * W up to which the 64-node rule does not alias
 TRUNCATED_CHAR_TERMS = 30  # terms of the erfc series used beyond it
-TRUNCATED_CHAR_BLOCK = 1 << 18  # cosine matrix entries evaluated at once
+# cosine matrix entries evaluated at once: a 256 KB block stays in cache, and
+# the memory it frees serves the next block and the next call, where 2 MB
+# blocks went back to the OS and were faulted in again on every call
+TRUNCATED_CHAR_BLOCK = 1 << 15
 
 
 @cache
@@ -221,20 +224,34 @@ def _(dist: CompoundPoisson, omega):
     return np.exp(dist.rate * (char_minus(dist.base, omega) - 1.0))
 
 
+def _truncated_char_blocks(size: int) -> list[slice]:
+    """The rule's frequency blocks: TRUNCATED_CHAR_BLOCK / TRUNCATED_CHAR_NODES rows
+    each, a one-row tail joined to the block before it."""
+    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
+    stops = [*range(rows, size - 1, rows), size]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
 def _truncated_char_rule(variance: float, width: float, freqs: np.ndarray) -> np.ndarray:
     """Gauss-Legendre cosine transform of the density on [-W, W], over its value at freqs[0] = 0.
 
     The nodes are antisymmetric and cos is even, so each block takes one
-    cosine per node pair and mirrors it into the negative nodes' columns.
+    cosine per node pair and mirrors it into the negative nodes' columns. A
+    block of TRUNCATED_CHAR_BLOCK / TRUNCATED_CHAR_NODES = 512 frequencies
+    keeps the working set at about 256 KB for the mirrored cosines (half that
+    for the phases and for the cosines), whatever the number of frequencies,
+    besides 8 bytes a frequency for the sums. numpy takes a one-row block's product as a dot
+    product, whose last bits can differ from the matrix-vector product of the
+    other rows, so a single frequency left at the end joins the block before
+    it: a value then does not depend on how the frequencies fall into blocks.
     """
     nodes, weights = _gl_nodes(TRUNCATED_CHAR_NODES)
     s = nodes * width
     density_weights = weights * np.exp(-0.5 * s ** 2 / variance)
     half = TRUNCATED_CHAR_NODES // 2
-    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
     sums = []
-    for i in range(0, freqs.size, rows):
-        cosines = np.cos(np.multiply.outer(freqs[i:i + rows], s[half:]))
+    for block in _truncated_char_blocks(freqs.size):
+        cosines = np.cos(np.multiply.outer(freqs[block], s[half:]))
         sums.append(np.concatenate([cosines[:, ::-1], cosines], axis=1) @ density_weights)
     sums = np.concatenate(sums)
     return sums / sums[0]

@@ -30,10 +30,10 @@ from twirlsim import (
 )
 from twirlsim.channels import CP_EIG_TOL, TP_DIAG_TOL
 from twirlsim.distributions import (
-    TRUNCATED_CHAR_BLOCK,
     TRUNCATED_CHAR_NODES,
     BaseLaw,
     _gl_nodes,
+    _truncated_char_blocks,
     sample_law,
 )
 from twirlsim.errors import ShapeError
@@ -131,9 +131,10 @@ def truncated_char_rule_by_every_node(variance: float, width: float,
     nodes, weights = _gl_nodes(TRUNCATED_CHAR_NODES)
     s = nodes * width
     density_weights = weights * np.exp(-0.5 * s ** 2 / variance)
-    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
-    sums = np.concatenate([np.cos(np.multiply.outer(freqs[i:i + rows], s)) @ density_weights
-                           for i in range(0, freqs.size, rows)])
+    # the rule's own blocks, one-row tail merged: a one-row product is a dot
+    # product, whose last bits can differ from the matrix-vector product
+    sums = np.concatenate([np.cos(np.multiply.outer(freqs[block], s)) @ density_weights
+                           for block in _truncated_char_blocks(freqs.size)])
     return sums / sums[0]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -161,6 +162,40 @@ def test_mirrored_truncated_rule_matches_the_every_node_rule_byte_for_byte(monke
     # spectra on the rule only, on the series only, and on both; and more than one block
     assert {(True, False), (False, True), (True, True)} <= branches
     assert longest > rows
+
+
+def test_truncated_rule_bytes_do_not_depend_on_the_block_size(monkeypatch):
+    # every block but a merged one-row tail is a matrix-vector product, whose row sums
+    # do not depend on the rows beside them; a one-row block would be a dot product
+    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
+    inputs = []
+    for dist, omega in _truncated_rule_cases():
+        width = min(dist.cutoff, TRUNCATED_CHAR_SIGMAS * math.sqrt(dist.variance))
+        freqs = np.unique(np.append(0.0, np.abs(omega)))
+        inputs.append((dist.variance, width, freqs[freqs * width < TRUNCATED_CHAR_MAX_PHASE]))
+    # a one-row tail at the module's block size, and at every smaller one
+    inputs += [(1.0, 3.0, np.linspace(0.0, 10.0, rows * k + 1)) for k in (1, 2, 8)]
+    for variance, width, freqs in inputs:
+        want = distributions._truncated_char_rule(variance, width, freqs).tobytes()
+        for log2 in range(10, 19):
+            with monkeypatch.context() as patch:
+                patch.setattr(distributions, "TRUNCATED_CHAR_BLOCK", 1 << log2)
+                got = distributions._truncated_char_rule(variance, width, freqs)
+            assert got.tobytes() == want, (freqs.size, log2)
+
+
+def test_truncated_rule_working_set_stays_within_a_block():
+    # one block's cosines and phases plus the 256 KiB of sums: a 2^18-entry block
+    # alone would take 2 MiB of mirrored cosines
+    freqs = np.linspace(0.0, 10.0, 32769)
+    distributions._gl_nodes(TRUNCATED_CHAR_NODES)
+    tracemalloc.start()
+    try:
+        distributions._truncated_char_rule(1.0, 3.0, freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_char_minus_vectorized_and_conjugate_symmetric():
