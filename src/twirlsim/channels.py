@@ -138,8 +138,9 @@ def cptp_check(mat) -> CPTPReport:
                           max_diag_deviation=math.nan)
     if not mat.imag.any():
         mat = mat.real
-    defect = hermiticity_defect(mat)
-    min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
+    adj = mat.conj().T
+    defect = float(np.abs(mat - adj).max())  # hermiticity_defect, sharing the adjoint
+    min_eig = float(np.linalg.eigvalsh((mat + adj) / 2.0).min())
     max_diag = float(np.abs(np.diag(mat) - 1.0).max())
     is_cp = min_eig >= CP_EIG_TOL and defect <= abs(CP_EIG_TOL)
     return CPTPReport(is_cp=is_cp, is_tp=max_diag <= TP_DIAG_TOL,
@@ -164,8 +165,8 @@ def apply_schur(m: SchurMultiplier, rho) -> np.ndarray:
         # identity channel: skip the basis rotations so the state is untouched
         return rho.copy()
     u = m.eigenbasis
-    rotated = u.conj().T @ rho @ u
-    return u @ (m.multiplier * rotated) @ u.conj().T
+    u_adj = u.conj().T
+    return u @ (m.multiplier * (u_adj @ rho @ u)) @ u_adj
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from functools import cache
 
 import numpy as np
 
@@ -48,6 +49,12 @@ METRICS_HEADER = ["mode", "t", "epsilon", "S", "shots", "total_sim_time",
 BENCH_HEADER = ["t", "epsilon", "S", "S_over_sqrt_t", "mean_abs_s"]
 QPE_HEADER = ["index", "estimate", "stderr", "raw_mean", "ci5_low", "ci5_high"]
 MAX_VERIFY_DIM = 32  # verify eigendecomposes a d^2 x d^2 matrix at each --dims entry
+# verify's caps, sized on 2 cores. A --dims entry costs max(d, 8)^6 work units a
+# trial, since below d=8 overhead dominates: a d=32 case is 1.1e9 units (about 1 s),
+# a d=8 case 2.6e5 (about 1.1 ms), so the work cap allows about 100 s whatever the
+# dims. 10^4 trials of the default dims take about 30 s
+MAX_VERIFY_TRIALS = 10 ** 4
+MAX_VERIFY_WORK = 2 * 10 ** 10
 
 
 def _fmt(value) -> str:
@@ -154,6 +161,17 @@ def cmd_verify(args) -> int:
                       f"an integer in [1, {MAX_VERIFY_DIM}]")
     if args.trials < 1:
         raise ConfigError("--trials", f"must be >= 1, got {args.trials}")
+    if args.trials > MAX_VERIFY_TRIALS:
+        raise ConfigError("--trials", f"at most {MAX_VERIFY_TRIALS} are allowed, got {args.trials}")
+    per_trial = sum(max(d, 8) ** 6 for d in dims)
+    if per_trial > MAX_VERIFY_WORK:
+        raise ConfigError("--dims", f"{len(dims)} entries take {per_trial:.3g} work units a "
+                                    f"trial (max(d, 8)^6 each); at most {MAX_VERIFY_WORK:.0e} "
+                                    "are allowed")
+    if args.trials * per_trial > MAX_VERIFY_WORK:
+        raise ConfigError("--trials", f"{args.trials} trials take {args.trials * per_trial:.3g} "
+                                      f"work units (max(d, 8)^6 per --dims entry); at most "
+                                      f"{MAX_VERIFY_WORK:.0e} are allowed")
     report, ok = run_verification(dims=dims, trials=args.trials, seed=args.seed,
                                   inject_fault=args.inject_fault)
     print(report)
@@ -244,7 +262,15 @@ def _flag_list(text: str, flag: str, convert, valid, requirement: str) -> list:
     return values
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every main call.
+
+    Parsing leaves it unchanged, so callers must not mutate it either (add
+    arguments, set defaults). The cache saves nothing in a one-shot console
+    process, only for callers that run main many times in one process: the
+    tests, tools/output_digest.py and the benchmark.
+    """
     parser = argparse.ArgumentParser(prog="twirlsim",
                                      description="Hamiltonian twirling channel toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

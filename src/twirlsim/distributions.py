@@ -302,7 +302,7 @@ def _(dist: LevyTriplet, omega):
 
 @singledispatch
 def sample_law(dist, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw from laws that admit direct sampling (base laws of compound sums)."""
+    """size float64 draws from laws that admit direct sampling (base laws of compound sums)."""
     raise TypeError(f"no sampler for {type(dist).__name__}")
 
 
@@ -313,7 +313,7 @@ def _(dist: Gaussian, rng: np.random.Generator, size: int) -> np.ndarray:
 
 @sample_law.register
 def _(dist: Dirac, rng: np.random.Generator, size: int) -> np.ndarray:
-    return np.full(size, dist.location)
+    return np.full(size, dist.location, dtype=np.float64)
 
 
 @sample_law.register

@@ -38,15 +38,16 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
     # rotate each column so its largest-magnitude entry is real positive;
-    # ties inside degenerate clusters then resolve the same way on every run
-    out = np.array(vectors, copy=True)
-    pivot_rows = np.argmax(np.abs(out), axis=0)
-    for col, row in enumerate(pivot_rows):
-        pivot = out[row, col]
+    # ties inside degenerate clusters then resolve the same way on every run.
+    # Each phase takes the scalar abs of its pivot: numpy's abs over the whole
+    # pivot array can differ from it in the last bit
+    phases = np.ones(vectors.shape[1], dtype=np.complex128)
+    for col, row in enumerate(np.argmax(np.abs(vectors), axis=0)):
+        pivot = vectors[row, col]
         mag = abs(pivot)
         if mag > 0.0:
-            out[:, col] *= pivot.conjugate() / mag
-    return out
+            phases[col] = pivot.conjugate() / mag
+    return vectors * phases
 
 
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
@@ -135,5 +136,5 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
     """Gaussian Hermitian matrix rescaled to spectral norm `scale`."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (a + a.conj().T) / 2.0
-    norm = np.linalg.norm(h, 2)
+    norm = np.linalg.svd(h, compute_uv=False).max()  # the spectral norm, as norm(h, 2) takes it
     return h * (scale / norm) if norm > 0 else h

@@ -344,7 +344,7 @@ def estimate_compound_channel(h, base: BaseLaw, t: float, shots: int,
             for i in range(first, last):
                 rng = derived_rng(seed, i, rng)
                 n = int(rng.poisson(t))
-                batch.append(np.asarray(draw(base, rng, n), dtype=np.float64) if n else no_kicks)
+                batch.append(draw(base, rng, n) if n else no_kicks)
             _sum_kicks(batch, times[first:last], costs[first:last])
     ledger = CostLedger(per_shot_times=costs, worst_case=float(costs.max()))
     return empirical_channel(h, times), ledger

@@ -53,8 +53,12 @@ def gaussian_evolution(h, rho, t: float) -> np.ndarray:
 def dissipator_matrix(h) -> np.ndarray:
     """K = H (x) I - I (x) H^T, so that vec(H rho H - {rho, H^2}/2) = -K^2/2 vec(rho)."""
     op = as_operator(h)
-    eye = np.eye(op.dim)
-    return np.kron(op.matrix, eye) - np.kron(eye, op.matrix.T)
+    d = op.dim
+    eye = np.eye(d)
+    # np.kron's elementwise products, one broadcast multiply per term
+    left = op.matrix[:, None, :, None] * eye[None, :, None, :]
+    right = eye[:, None, :, None] * op.matrix.T[None, :, None, :]
+    return (left - right).reshape(d * d, d * d)
 
 
 def vectorized_oracle(h, rho, t: float) -> np.ndarray:
@@ -108,7 +112,9 @@ def hs_quadrature_check(h, t: float) -> float:
     x, w = _hermite_rule(HS_QUADRATURE_NODES)
     scale = math.sqrt(2.0 * t)
     acc = np.zeros((op.dim, op.dim), dtype=np.complex128)
-    for term in w[:, None, None] * op.unitary_at(scale * x):  # added in node order
+    # added in node order: at small d, numpy's sum over axis 0 can run the node axis
+    # as its inner loop and add pairwise, which moves the last bits
+    for term in w[:, None, None] * op.unitary_at(scale * x):
         acc += term
     acc /= math.sqrt(math.pi)
     target = op.function_of(np.exp(-0.5 * t * op.eigenvalues ** 2))

@@ -12,6 +12,10 @@ parse_pauli_sum's signed-permutation scatter. truncated_char_rule_by_every_node
 takes one cosine per quadrature node, the reference for the truncated-Gaussian
 rule's one cosine per node pair, and cptp_check_complex checks a multiplier in
 complex arithmetic, the reference for cptp_check's real path.
+dissipator_matrix_by_kron, random_hermitian_by_norm and canonical_phases_by_column
+are the dissipator's two kron calls, random_hermitian's norm(h, 2) and the
+eigenvector phases applied one column at a time, the references for their
+broadcast and direct-svd forms.
 """
 
 import math
@@ -150,3 +154,30 @@ def cptp_check_complex(mat) -> CPTPReport:
     is_cp = min_eig >= CP_EIG_TOL and defect <= abs(CP_EIG_TOL)
     return CPTPReport(is_cp=is_cp, is_tp=max_diag <= TP_DIAG_TOL,
                       min_eigenvalue=min_eig, max_diag_deviation=max_diag)
+
+
+def dissipator_matrix_by_kron(h) -> np.ndarray:
+    """K = H (x) I - I (x) H^T through two np.kron calls."""
+    op = as_operator(h)
+    eye = np.eye(op.dim)
+    return np.kron(op.matrix, eye) - np.kron(eye, op.matrix.T)
+
+
+def random_hermitian_by_norm(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """random_hermitian with its spectral norm taken by np.linalg.norm(h, 2)."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = (a + a.conj().T) / 2.0
+    norm = np.linalg.norm(h, 2)
+    return h * (scale / norm) if norm > 0 else h
+
+
+def canonical_phases_by_column(vectors: np.ndarray) -> np.ndarray:
+    """Each column rotated in place so its largest-magnitude entry is real positive."""
+    out = np.array(vectors, copy=True)
+    pivot_rows = np.argmax(np.abs(out), axis=0)
+    for col, row in enumerate(pivot_rows):
+        pivot = out[row, col]
+        mag = abs(pivot)
+        if mag > 0.0:
+            out[:, col] *= pivot.conjugate() / mag
+    return out

@@ -23,7 +23,7 @@ from twirlsim import (
     write_matrix,
 )
 from twirlsim import ParseError, cli, cvqpe, linalg, pauli
-from twirlsim.cli import MAX_VERIFY_DIM, METRICS_HEADER, main
+from twirlsim.cli import MAX_VERIFY_DIM, MAX_VERIFY_TRIALS, METRICS_HEADER, build_parser, main
 from twirlsim.config import MAX_QUBITS
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
 from twirlsim.pauli import MAX_PAULI_WORK
@@ -974,15 +974,61 @@ BAD_FLAGS = [
     # subnormal times: S / sqrt(t) loses digits there
     (["bench", "--ts", "1e-320", "--draws", "10"], "--ts"),
     (["bench", "--ts", "1e-320,1", "--draws", "10"], "--ts"),
+    # verify's caps: trials, then trials x sum of max(d, 8)^6 at one trial and in all
+    (["verify", "--dims", "2", "--trials", str(MAX_VERIFY_TRIALS + 1)], "--trials"),
+    (["verify", "--dims", "32", "--trials", "19"], "--trials"),
+    (["verify", "--dims", ",".join(["32"] * 19), "--trials", "1"], "--dims"),
 ]
 
 
 @pytest.mark.parametrize("argv,flag", BAD_FLAGS)
-def test_bad_flag_is_named_with_exit_2(argv, flag, capsys):
+def test_bad_flag_is_named_with_exit_2(argv, flag, capsys, monkeypatch):
+    def refused(**kwargs):
+        raise AssertionError(f"verify started the work it refuses: {kwargs}")
+
+    monkeypatch.setattr(cli, "run_verification", refused)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {flag}:")
     assert captured.out == ""
+
+
+def test_verify_cap_admits_the_largest_allowed_work(monkeypatch):
+    calls = []
+
+    def recorded(**kwargs):
+        calls.append(kwargs)
+        return "", True
+
+    monkeypatch.setattr(cli, "run_verification", recorded)
+    assert main(["verify", "--dims", "32", "--trials", "18"]) == 0
+    assert main(["verify", "--dims", ",".join(["32"] * 18), "--trials", "1"]) == 0
+    assert main(["verify", "--dims", "1", "--trials", str(MAX_VERIFY_TRIALS)]) == 0
+    assert [call["trials"] for call in calls] == [18, 1, MAX_VERIFY_TRIALS]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(sampler={"shots": 200, "seed": 3}))
+    runs = [["verify", "--dims", "2", "--trials", "1"],
+            ["bench", "--ts", "1", "--draws", "0"],
+            ["qpe", "--config", path],
+            ["verify", "--seed", "5"]]
+
+    def outcomes(fresh_parser: bool) -> list:
+        build_parser.cache_clear()
+        results = []
+        for argv in runs:
+            if fresh_parser:
+                build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = outcomes(fresh_parser=False)
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert shared == outcomes(fresh_parser=True)
+    assert build_parser() is build_parser()
 
 
 def test_qpe_single_index_and_validation(tmp_path, capsys):

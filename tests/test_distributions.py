@@ -311,6 +311,15 @@ def test_sample_law_moments():
     assert set(np.unique(ys)) == {2.0, -1.0}
 
 
+def test_base_samplers_draw_float64():
+    # the compound Poisson shot loop sums these draws without converting them
+    g = np.random.default_rng(3)
+    for law in (Gaussian(variance=0.5), Dirac(location=2), Dirac(location=-1.25),
+                FiniteMixture(atoms=((2, 0.5), (-1, 0.5)))):
+        for size in (0, 1, 5):
+            assert sample_law(law, g, size=size).dtype == np.float64, (law, size)
+
+
 @pytest.mark.parametrize("atoms", [
     ((2.0, 0.25), (-1.0, 0.75)),
     ((0.8, 0.5), (-0.4, 0.5)),

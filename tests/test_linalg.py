@@ -12,6 +12,14 @@ from twirlsim import (
     unvec,
     vec,
 )
+from twirlsim.linalg import _canonical_phases
+
+from oracles import (
+    canonical_phases_by_column,
+    dissipator_matrix_by_kron,
+    pauli_matrix_by_kron,
+    random_hermitian_by_norm,
+)
 
 rng = np.random.default_rng(42)
 
@@ -132,3 +140,63 @@ def test_hermitian_operator_caches_and_evolves():
     assert np.abs(op.unitary_at(0.0) - np.eye(2)).max() == 0
     gaps = op.gaps()
     assert np.array_equal(gaps, np.array([[0.0, -2.0], [2.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the replaced forms (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+BYTE_DIMS = (1, 2, 3, 8, 64, 256)
+
+
+def _byte_identity_inputs(dims):
+    """(label, Hermitian matrix): random complex, real-symmetric, degenerate and Pauli sums."""
+    g = np.random.default_rng(2024)
+    for d in dims:
+        for k in range(2):
+            a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+            yield f"complex-d{d}-{k}", (a + a.conj().T) / 2.0
+            b = g.normal(size=(d, d))
+            yield f"real-symmetric-d{d}-{k}", ((b + b.T) / 2.0).astype(complex)
+        levels = g.choice([-1.0, 0.0, 2.5], size=d)
+        yield f"degenerate-diagonal-d{d}", np.diag(levels).astype(complex)
+        q, _ = np.linalg.qr(g.normal(size=(d, d)) + 1j * g.normal(size=(d, d)))
+        rotated = (q * levels) @ q.conj().T
+        yield f"degenerate-rotated-d{d}", (rotated + rotated.conj().T) / 2.0
+        qubits = d.bit_length() - 1
+        if d == 2 ** qubits and qubits > 0:
+            terms = [(float(g.uniform(-1, 1)), "".join(g.choice(list("IXYZ"), size=qubits)))
+                     for _ in range(2 * qubits + 1)]
+            yield f"pauli-d{d}", pauli_matrix_by_kron(terms, qubits)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape, memory layout and raw bytes."""
+    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+            and a.tobytes() == b.tobytes())
+
+
+def test_canonical_phases_match_the_column_loop_byte_for_byte():
+    for label, m in _byte_identity_inputs(BYTE_DIMS):
+        vectors = np.linalg.eigh(m)[1]
+        assert _same_bytes(_canonical_phases(vectors), canonical_phases_by_column(vectors)), label
+
+
+def test_random_hermitian_matches_norm_byte_for_byte():
+    for dim in BYTE_DIMS:
+        for seed in range(3):
+            for scale in (1.0, 0.7, 1.5):
+                got = random_hermitian(dim, np.random.default_rng(seed), scale=scale)
+                expected = random_hermitian_by_norm(dim, np.random.default_rng(seed), scale=scale)
+                assert _same_bytes(got, expected), (dim, seed, scale)
+    # the identity random_hermitian relies on, over every kind of input
+    for label, m in _byte_identity_inputs(BYTE_DIMS):
+        norm = np.linalg.svd(m, compute_uv=False).max()
+        assert norm.tobytes() == np.linalg.norm(m, 2).tobytes(), label
+
+
+def test_dissipator_matches_kron_byte_for_byte():
+    # K has d^4 entries, 268 MB at d=64; verify, its one caller, stops at d=32
+    for label, m in _byte_identity_inputs((1, 2, 3, 8, 32)):
+        op = HermitianOperator(m)
+        assert _same_bytes(dissipator_matrix(op), dissipator_matrix_by_kron(op)), label

@@ -145,6 +145,7 @@ def cases() -> list[tuple[str, list[str], object]]:
         ("bench-draws", ["bench", "--ts", "1", "--draws", "0"], None),
         ("verify-dims", ["verify", "--dims", "0"], None),
         ("verify-trials", ["verify", "--dims", "2", "--trials", "0"], None),
+        ("verify-work-cap", ["verify", "--dims", "32", "--trials", "19"], None),
     ]
     # eigh fails on this sum with some LAPACK builds (exit 2), and converges with others
     out.append(("hard-pauli-sum", simulate,
