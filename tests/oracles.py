@@ -15,7 +15,9 @@ complex arithmetic, the reference for cptp_check's real path.
 dissipator_matrix_by_kron, random_hermitian_by_norm and canonical_phases_by_column
 are the dissipator's two kron calls, random_hermitian's norm(h, 2) and the
 eigenvector phases applied one column at a time, the references for their
-broadcast and direct-svd forms.
+broadcast and direct-svd forms. apply_choi_by_einsum contracts rho with the
+Choi blocks in one four-index einsum, the reference for apply_choi's
+row-times-block products.
 """
 
 import math
@@ -32,7 +34,7 @@ from twirlsim import (
     unvec,
     vec,
 )
-from twirlsim.channels import CP_EIG_TOL, TP_DIAG_TOL
+from twirlsim.channels import CP_EIG_TOL, TP_DIAG_TOL, _choi_blocks
 from twirlsim.distributions import (
     TRUNCATED_CHAR_NODES,
     BaseLaw,
@@ -79,6 +81,12 @@ def partial_trace_output(choi, d: int) -> np.ndarray:
     if j.shape != (d * d, d * d):
         raise ShapeError(f"Choi shape {j.shape} does not match dimension {d}")
     return np.einsum("iaja->ij", j.reshape(d, d, d, d))
+
+
+def apply_choi_by_einsum(choi, rho) -> np.ndarray:
+    """out[a, b] = sum_ij rho[i, j] J[i d + a, j d + b] as one einsum over the (d, d, d, d) view."""
+    rho = require_square(rho)
+    return np.einsum("ij,iajb->ab", rho, _choi_blocks(choi, rho.shape[0]))
 
 
 def choi_of(h, dist) -> np.ndarray:

@@ -15,6 +15,7 @@ from twirlsim import (
     LevyTriplet,
     SchurMultiplier,
     ShapeError,
+    ShotPlan,
     TruncatedGaussian,
     apply_choi,
     apply_schur,
@@ -26,17 +27,25 @@ from twirlsim import (
     choi_trace_distance,
     cptp_check,
     eig_hermitian,
+    estimate_channel,
+    estimate_compound_channel,
     exact_channel,
     maximally_mixed,
     plus_state,
     random_density_matrix,
+    random_hermitian,
     scale_triplet,
     superoperator_of_schur,
     trace_norm,
     vec,
 )
 
-from oracles import apply_superoperator, cptp_check_complex, partial_trace_output
+from oracles import (
+    apply_choi_by_einsum,
+    apply_superoperator,
+    cptp_check_complex,
+    partial_trace_output,
+)
 
 rng = np.random.default_rng(7)
 
@@ -286,6 +295,27 @@ def test_apply_choi_matches_superoperator():
         assert np.abs(via_choi - apply_superoperator(s, rho)).max() < 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+def test_apply_choi_matches_einsum_oracle(d):
+    # random non-Hermitian J and complex rho: no symmetry hides a swapped index
+    local = np.random.default_rng(200 + d)
+    choi = local.normal(size=(d * d, d * d)) + 1j * local.normal(size=(d * d, d * d))
+    rho = local.normal(size=(d, d)) + 1j * local.normal(size=(d, d))
+    expected = apply_choi_by_einsum(choi, rho)
+    out = apply_choi(choi, rho)
+    assert out.shape == (d, d)
+    assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_apply_choi_of_sampled_multipliers_matches_apply():
+    op = HermitianOperator(random_hermitian(16, np.random.default_rng(31)))
+    rho = random_density_matrix(16, np.random.default_rng(32))
+    gaussian, _ = estimate_channel(op, ShotPlan.with_derived_cutoff(1.0, 0.01, 64, seed=5))
+    compound, _ = estimate_compound_channel(op, Gaussian(0.5), 2.0, 64, seed=6)
+    for m in (gaussian, compound):
+        assert np.abs(apply_choi(m.choi, rho) - m.apply(rho)).max() < 1e-12
+
+
 def test_schur_superoperator_matches_apply():
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     basis = eig_hermitian(h + h.conj().T)[1]
@@ -325,3 +355,9 @@ def test_d4_layer_rejects_wrong_shapes():
         check_choi(np.eye(9), 2)
     with pytest.raises(ShapeError, match="does not match dimension 3"):
         check_choi(np.eye(4), 3)
+    with pytest.raises(ShapeError, match=r"\(4, 4\) and \(1, 1\)"):
+        choi_trace_distance(np.eye(4), np.eye(1))
+    with pytest.raises(ShapeError, match=r"\(4, 4\) and \(4, 1\)"):
+        choi_trace_distance(np.eye(4), np.ones((4, 1)))
+    with pytest.raises(ShapeError, match=r"\(4, 4\) and \(9, 9\)"):
+        choi_trace_distance(np.eye(4), np.eye(9))
