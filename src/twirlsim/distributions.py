@@ -67,6 +67,20 @@ class TruncatedGaussian:
         if not self.cutoff > 0.0:
             raise DistributionError(f"cutoff must be > 0, got {self.cutoff}")
 
+    @property
+    def _window(self) -> float:
+        # W = min(cutoff, 8 sigma): the law is taken on [-W, W] (see char_minus)
+        return min(self.cutoff, TRUNCATED_CHAR_SIGMAS * math.sqrt(self.variance))
+
+    @cached_property
+    def _half_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        # the positive half of the 64 Gauss-Legendre nodes on [-W, W], and the
+        # square roots of their density weights normalized to sum 1
+        nodes, weights = _gl_nodes(TRUNCATED_CHAR_NODES)
+        times = nodes[TRUNCATED_CHAR_NODES // 2:] * self._window
+        density = weights[TRUNCATED_CHAR_NODES // 2:] * np.exp(-0.5 * times ** 2 / self.variance)
+        return times, np.sqrt(density / density.sum())
+
 
 @dataclass(frozen=True)
 class Dirac:
@@ -99,6 +113,13 @@ class FiniteMixture:
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
         return locations, cdf
+
+    @cached_property
+    def _phase_atoms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        # locations, square roots of the probabilities and the largest |location|,
+        # built once for multiplier
+        locations = np.array([s for s, _ in self.atoms])
+        return locations, np.sqrt([p for _, p in self.atoms]), float(np.abs(locations).max())
 
 
 BaseLaw = Union[Dirac, FiniteMixture, Gaussian]
@@ -285,7 +306,7 @@ def _(dist: TruncatedGaussian, omega):
     w = np.asarray(omega, dtype=np.float64)
     if dist.variance == 0.0:
         return np.ones(w.shape, dtype=np.complex128)
-    width = min(dist.cutoff, TRUNCATED_CHAR_SIGMAS * math.sqrt(dist.variance))
+    width = dist._window
     freqs, where = np.unique(np.append(0.0, np.abs(w)), return_inverse=True)
     near = freqs * width < TRUNCATED_CHAR_MAX_PHASE
     value = np.empty(freqs.size)
@@ -298,6 +319,96 @@ def _(dist: TruncatedGaussian, omega):
 @char_minus.register
 def _(dist: LevyTriplet, omega):
     return np.exp(levy_psi(dist, omega))
+
+
+def _at_gaps(dist, lam: np.ndarray) -> np.ndarray:
+    return char_minus(dist, lam[:, None] - lam[None, :])
+
+
+@singledispatch
+def multiplier(dist, eigenvalues) -> np.ndarray:
+    """The d x d twirl multiplier: char_minus(dist) at the gaps lambda_j - lambda_k.
+
+    The default evaluates char_minus on the gap matrix. The truncated
+    Gaussian (through its quadrature rule), Dirac and finite-mixture laws
+    average finitely many phases, so their multipliers are Gram products of
+    per-eigenvalue phases instead (_phase_gram), with d x (number of nodes or
+    atoms) sines and cosines in place of d^2 transcendental calls.
+    """
+    return _at_gaps(dist, np.asarray(eigenvalues, dtype=np.float64))
+
+
+def _phase_gram(lam: np.ndarray, lo, spread, times: np.ndarray, roots: np.ndarray,
+                symmetric: bool) -> np.ndarray:
+    """sum_n roots[n]^2 exp(-i lam_j times[n]) exp(i lam_k times[n]) as a complex d x d matrix.
+
+    With c = cos(lam times^T), s = sin(lam times^T) and B = [c, s] diag(roots, roots),
+    the real part is B B^T, one product of B with its own transpose, so it is
+    exactly symmetric, and the imaginary part is X - X^T with
+    X = c diag(roots^2) s^T, exactly antisymmetric. symmetric=True stands for
+    the law that puts half of each weight at each of +-times[n], whose
+    imaginary part is zero. The eigenvalues are centred on their midpoint
+    first, a common phase that cancels, so no phase is larger than a gap
+    times a time. Entries at a zero gap, the diagonal among them, are exactly 1.
+    """
+    m = times.size
+    b = np.empty((lam.size, 2, m))
+    phases = np.multiply.outer(lam - (lo + 0.5 * spread), times)
+    np.cos(phases, out=b[:, 0])
+    np.sin(phases, out=b[:, 1])
+    b *= roots
+    b = b.reshape(lam.size, 2 * m)
+    out = (b @ b.T).astype(np.complex128)
+    if not symmetric:
+        # np.dot, not @: numpy's matmul skips BLAS for a one-atom inner dimension
+        x = np.dot(b[:, :m], b[:, m:].T)
+        np.subtract(x, x.T, out=out.imag)
+    out[lam[:, None] == lam] = 1.0
+    return out
+
+
+@multiplier.register
+def _(dist: TruncatedGaussian, eigenvalues):
+    # the 64-node rule of char_minus below TRUNCATED_CHAR_MAX_PHASE, and the
+    # erfc series at and above it, once per distinct such |gap|
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    if dist.variance == 0.0:
+        return np.ones((lam.size, lam.size), dtype=np.complex128)
+    width = dist._window
+    lo = lam.min()
+    spread = lam.max() - lo
+    if not math.isfinite(spread * width):
+        return _at_gaps(dist, lam)
+    out = _phase_gram(lam, lo, spread, *dist._half_rule, symmetric=True)
+    if spread * width >= TRUNCATED_CHAR_MAX_PHASE:
+        gaps = np.abs(lam[:, None] - lam)
+        far = gaps * width >= TRUNCATED_CHAR_MAX_PHASE
+        freqs, where = np.unique(gaps[far], return_inverse=True)
+        out[far] = _truncated_char_series(dist.variance, width, freqs)[where]
+    return out
+
+
+def _atom_multiplier(dist, eigenvalues, locations: np.ndarray, roots: np.ndarray,
+                     reach: float) -> np.ndarray:
+    # reach: the largest |location|
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    lo = lam.min()
+    spread = lam.max() - lo
+    if not math.isfinite(spread * reach):
+        # a location times a gap overflows: the gap route, non-finite there
+        return _at_gaps(dist, lam)
+    return _phase_gram(lam, lo, spread, locations, roots, symmetric=False)
+
+
+@multiplier.register
+def _(dist: Dirac, eigenvalues):
+    return _atom_multiplier(dist, eigenvalues, np.array([dist.location]), np.ones(1),
+                            abs(dist.location))
+
+
+@multiplier.register
+def _(dist: FiniteMixture, eigenvalues):
+    return _atom_multiplier(dist, eigenvalues, *dist._phase_atoms)
 
 
 @singledispatch

@@ -19,6 +19,7 @@ from .distributions import (
     LevyTriplet,
     TruncatedGaussian,
     char_minus,
+    multiplier,
 )
 from .linalg import HermitianOperator, random_hermitian
 from .sampling import VERIFY_STREAMS, derived_rng
@@ -72,16 +73,16 @@ def _semigroup(rng, trials: int):
 def _cptp(rng, trials: int, inject_fault: bool):
     """Every distribution's multiplier must be CP (PSD) and TP (unit diagonal).
 
-    A case's deviation is max(0, CP slack - min eigenvalue, diagonal
-    deviation), so the threshold can be a single number. inject_fault breaks
-    trace preservation in the first case.
+    Each is built from the eigenvalues, as exact_channel builds it. A case's
+    deviation is max(0, CP slack - min eigenvalue, diagonal deviation), so
+    the threshold can be a single number. inject_fault breaks trace
+    preservation in the first case.
     """
     for _ in range(trials):
         dim = int(rng.integers(2, 9))
         lam = np.sort(rng.uniform(-3, 3, size=dim))
-        gaps = lam[:, None] - lam[None, :]
         for dist in _random_distributions(rng):
-            m = char_minus(dist, gaps)
+            m = multiplier(dist, lam)
             if inject_fault:
                 m = m.copy()
                 m[0, 0] = 0.9  # deliberately break trace preservation

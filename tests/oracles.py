@@ -17,7 +17,9 @@ are the dissipator's two kron calls, random_hermitian's norm(h, 2) and the
 eigenvector phases applied one column at a time, the references for their
 broadcast and direct-svd forms. apply_choi_by_einsum contracts rho with the
 Choi blocks in one four-index einsum, the reference for apply_choi's
-row-times-block products.
+row-times-block products. multiplier_by_gaps evaluates a law's
+characteristic function on the d x d gap matrix, the reference for the
+Gram-product multipliers of the truncated Gaussian, Dirac and mixture laws.
 """
 
 import math
@@ -40,6 +42,7 @@ from twirlsim.distributions import (
     BaseLaw,
     _gl_nodes,
     _truncated_char_blocks,
+    char_minus,
     sample_law,
 )
 from twirlsim.errors import ShapeError
@@ -189,3 +192,9 @@ def canonical_phases_by_column(vectors: np.ndarray) -> np.ndarray:
         if mag > 0.0:
             out[:, col] *= pivot.conjugate() / mag
     return out
+
+
+def multiplier_by_gaps(dist, eigenvalues) -> np.ndarray:
+    """char_minus(dist, gaps) at the gap matrix lambda_j - lambda_k, one call on all d^2 gaps."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    return char_minus(dist, lam[:, None] - lam[None, :])

@@ -22,9 +22,12 @@ def test_nan_twirl_fails_the_checks_that_read_it(monkeypatch):
 
 
 def test_nan_multipliers_fail_without_raising(monkeypatch):
-    # the CPTP check meets all-NaN multipliers of dimension 2 to 8
+    # the CPTP check meets all-NaN multipliers of dimension 2 to 8 (it builds them
+    # from the eigenvalues; the semigroup check reads char_minus at the gaps)
     monkeypatch.setattr(verify, "char_minus",
                         lambda dist, omega: np.full(np.shape(omega), np.nan, dtype=complex))
+    monkeypatch.setattr(verify, "multiplier",
+                        lambda dist, lam: np.full((len(lam),) * 2, np.nan, dtype=complex))
     report, ok = verify.run_verification(dims=(2,), trials=5, seed=7)
     assert not ok
     failed = {name for name, row in report_rows(report).items() if row[-1] == "FAIL"}

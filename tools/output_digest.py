@@ -94,6 +94,9 @@ def cases() -> list[tuple[str, list[str], object]]:
         out.append((f"exact-q6-t4-{law}", simulate, _config(6, PAULI_6, 4.0, law)))
     for t, law in ((1.0, "truncated"), (4.0, "truncated"), (4.0, "truncated-cutoff")):
         out.append((f"exact-q7-t{t:g}-{law}", simulate, _config(7, PAULI_7, t, law)))
+    # H = 1.0 ZI has two doubly degenerate eigenvalues: zero gaps off the diagonal
+    for law in ("truncated", "dirac", "mixture"):
+        out.append((f"exact-q2-degenerate-{law}", simulate, _config(2, ["1.0 ZI"], 1.0, law)))
     for law in SAMPLED_LAWS:
         for shots in SHOTS:
             for seed in SEEDS:
