@@ -24,10 +24,6 @@ TRUNCATED_CHAR_NODES = 64
 TRUNCATED_CHAR_SIGMAS = 8.0  # the N(0, v) mass beyond 8 sigma is about 1e-15
 TRUNCATED_CHAR_MAX_PHASE = 32.0  # |omega| * W up to which the 64-node rule does not alias
 TRUNCATED_CHAR_TERMS = 30  # terms of the erfc series used beyond it
-# cosine matrix entries evaluated at once: a 256 KB block stays in cache, and
-# the memory it frees serves the next block and the next call, where 2 MB
-# blocks went back to the OS and were faulted in again on every call
-TRUNCATED_CHAR_BLOCK = 1 << 15
 
 
 @cache
@@ -99,10 +95,10 @@ class FiniteMixture:
         object.__setattr__(self, "atoms", _as_atoms(self.atoms))
         if not self.atoms:
             raise DistributionError("mixture needs at least one atom")
-        if any(p < 0.0 for _, p in self.atoms):
+        if any(not p >= 0.0 for _, p in self.atoms):
             raise DistributionError("mixture probabilities must be nonnegative")
         total = math.fsum(p for _, p in self.atoms)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise DistributionError(f"mixture probabilities sum to {total!r}, not 1")
 
     @cached_property
@@ -170,7 +166,7 @@ class LevyTriplet:
         if not self.sigma2 >= 0.0:
             raise DistributionError(f"sigma2 must be >= 0, got {self.sigma2}")
         object.__setattr__(self, "atoms", _as_atoms(self.atoms))
-        if any(w <= 0.0 for _, w in self.atoms):
+        if any(not w > 0.0 for _, w in self.atoms):
             raise DistributionError("jump weights must be positive")
         if any(s == 0.0 for s, _ in self.atoms):
             raise DistributionError("jump measure has an atom at 0")
@@ -245,39 +241,6 @@ def _(dist: CompoundPoisson, omega):
     return np.exp(dist.rate * (char_minus(dist.base, omega) - 1.0))
 
 
-def _truncated_char_blocks(size: int) -> list[slice]:
-    """The rule's frequency blocks: TRUNCATED_CHAR_BLOCK / TRUNCATED_CHAR_NODES rows
-    each, a one-row tail joined to the block before it."""
-    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
-    stops = [*range(rows, size - 1, rows), size]
-    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
-
-
-def _truncated_char_rule(variance: float, width: float, freqs: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre cosine transform of the density on [-W, W], over its value at freqs[0] = 0.
-
-    The nodes are antisymmetric and cos is even, so each block takes one
-    cosine per node pair and mirrors it into the negative nodes' columns. A
-    block of TRUNCATED_CHAR_BLOCK / TRUNCATED_CHAR_NODES = 512 frequencies
-    keeps the working set at about 256 KB for the mirrored cosines (half that
-    for the phases and for the cosines), whatever the number of frequencies,
-    besides 8 bytes a frequency for the sums. numpy takes a one-row block's product as a dot
-    product, whose last bits can differ from the matrix-vector product of the
-    other rows, so a single frequency left at the end joins the block before
-    it: a value then does not depend on how the frequencies fall into blocks.
-    """
-    nodes, weights = _gl_nodes(TRUNCATED_CHAR_NODES)
-    s = nodes * width
-    density_weights = weights * np.exp(-0.5 * s ** 2 / variance)
-    half = TRUNCATED_CHAR_NODES // 2
-    sums = []
-    for block in _truncated_char_blocks(freqs.size):
-        cosines = np.cos(np.multiply.outer(freqs[block], s[half:]))
-        sums.append(np.concatenate([cosines[:, ::-1], cosines], axis=1) @ density_weights)
-    sums = np.concatenate(sums)
-    return sums / sums[0]
-
-
 def _truncated_char_series(variance: float, width: float, freqs: np.ndarray) -> np.ndarray:
     """exp(-b^2) Re erf(a + ib) / erf(a), a = W / sqrt(2v), b = omega sqrt(v/2), by the erfc series."""
     a = width / math.sqrt(2.0 * variance)
@@ -299,20 +262,26 @@ def _(dist: TruncatedGaussian, omega):
     # density, which then underflows. The law is symmetric, so the value is a
     # cosine transform, computed once per distinct |omega|. Below
     # |omega| W = TRUNCATED_CHAR_MAX_PHASE a 64-node Gauss-Legendre rule
-    # resolves it, normalized by its own value at 0 so that char(0) = 1
-    # exactly; above, where the rule aliases, the closed form through erfc is
-    # used, and its asymptotic series has converged because
+    # resolves it: the half rule that multiplier reads, one cosine per node
+    # pair (the nodes are antisymmetric and cos is even), summed one pair at a
+    # time, so the working set grows linearly with the frequencies and a value
+    # does not depend on the others. It is normalized by its own value at 0 so
+    # that char(0) = 1 exactly; above, where the rule aliases, the closed form
+    # through erfc is used, and its asymptotic series has converged because
     # |a + ib|^2 >= 2ab = |omega| W.
     w = np.asarray(omega, dtype=np.float64)
     if dist.variance == 0.0:
         return np.ones(w.shape, dtype=np.complex128)
     width = dist._window
     freqs, where = np.unique(np.append(0.0, np.abs(w)), return_inverse=True)
-    near = freqs * width < TRUNCATED_CHAR_MAX_PHASE
-    value = np.empty(freqs.size)
-    value[near] = _truncated_char_rule(dist.variance, width, freqs[near])
-    if not near.all():
-        value[~near] = _truncated_char_series(dist.variance, width, freqs[~near])
+    # freqs ascends from 0, so the frequencies on the rule are a prefix
+    near = np.count_nonzero(freqs * width < TRUNCATED_CHAR_MAX_PHASE)
+    value = np.zeros(freqs.size)
+    for time, root in zip(*dist._half_rule):
+        value[:near] += root * root * np.cos(freqs[:near] * time)
+    value[:near] /= value[0]
+    if near < freqs.size:
+        value[near:] = _truncated_char_series(dist.variance, width, freqs[near:])
     return value[where[1:]].reshape(w.shape).astype(np.complex128)
 
 

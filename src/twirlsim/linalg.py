@@ -102,11 +102,6 @@ class HermitianOperator:
         """
         return self.function_of(np.exp(-1j * self.eigenvalues * np.asarray(s)[..., None]))
 
-    def gaps(self) -> np.ndarray:
-        """Matrix of eigenvalue differences lambda_j - lambda_k."""
-        lam = self.eigenvalues
-        return lam[:, None] - lam[None, :]
-
 
 def as_operator(h) -> HermitianOperator:
     """h itself if it is a HermitianOperator, else one built from the matrix h."""

@@ -9,9 +9,10 @@ batched draws. matrix_text_by_entry formats a matrix file one entry at a
 time, the reference for matrix_to_text's row formats. pauli_matrix_by_kron
 adds up a Pauli sum through each word's dense kron chain, the reference for
 parse_pauli_sum's signed-permutation scatter. truncated_char_rule_by_every_node
-takes one cosine per quadrature node, the reference for the truncated-Gaussian
-rule's one cosine per node pair, and cptp_check_complex checks a multiplier in
-complex arithmetic, the reference for cptp_check's real path.
+takes one cosine per quadrature node as one matrix-vector product, the
+reference for char_minus's truncated-Gaussian half rule, summed one node pair
+at a time, and cptp_check_complex checks a multiplier in complex arithmetic,
+the reference for cptp_check's real path.
 dissipator_matrix_by_kron, random_hermitian_by_norm and canonical_phases_by_column
 are the dissipator's two kron calls, random_hermitian's norm(h, 2) and the
 eigenvector phases applied one column at a time, the references for their
@@ -41,7 +42,6 @@ from twirlsim.distributions import (
     TRUNCATED_CHAR_NODES,
     BaseLaw,
     _gl_nodes,
-    _truncated_char_blocks,
     char_minus,
     sample_law,
 )
@@ -146,10 +146,7 @@ def truncated_char_rule_by_every_node(variance: float, width: float,
     nodes, weights = _gl_nodes(TRUNCATED_CHAR_NODES)
     s = nodes * width
     density_weights = weights * np.exp(-0.5 * s ** 2 / variance)
-    # the rule's own blocks, one-row tail merged: a one-row product is a dot
-    # product, whose last bits can differ from the matrix-vector product
-    sums = np.concatenate([np.cos(np.multiply.outer(freqs[block], s)) @ density_weights
-                           for block in _truncated_char_blocks(freqs.size)])
+    sums = np.cos(np.multiply.outer(freqs, s)) @ density_weights
     return sums / sums[0]
 
 

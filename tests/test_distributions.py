@@ -22,7 +22,6 @@ from twirlsim import (
 )
 from twirlsim import distributions
 from twirlsim.distributions import (
-    TRUNCATED_CHAR_BLOCK,
     TRUNCATED_CHAR_MAX_PHASE,
     TRUNCATED_CHAR_NODES,
     TRUNCATED_CHAR_SIGMAS,
@@ -117,7 +116,7 @@ def test_truncated_gaussian_char_large_gaps_against_closed_form():
 
 def _truncated_rule_cases():
     """(law, omega) pairs: random spectra at d up to 70 over many variances and cutoffs,
-    a frequency array longer than a block of the rule, and one gap past the rule's reach."""
+    an array of more than 512 frequencies, and one gap past the rule's reach."""
     case_rng = np.random.default_rng(2020)
     cases = []
     for _ in range(80):
@@ -128,21 +127,19 @@ def _truncated_rule_cases():
             [math.sqrt(2.0 * math.log(4.0 / 0.01)), case_rng.uniform(0.01, 12.0), 1e3]))
         cases.append((TruncatedGaussian(variance=variance, cutoff=cutoff),
                       lam[:, None] - lam[None, :]))
-    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
     cases.append((TruncatedGaussian(variance=1.0, cutoff=3.0),
-                  np.linspace(-9.0, 9.0, 4 * rows + 75)))
+                  np.linspace(-9.0, 9.0, 4 * 512 + 75)))
     cases.append((TruncatedGaussian(variance=4.0, cutoff=3.0), np.array([[0.0, 40.0],
                                                                         [-40.0, 0.0]])))
     return cases
 
 
-def test_mirrored_truncated_rule_matches_the_every_node_rule_byte_for_byte(monkeypatch):
-    # one cosine per node pair gives the same matrix, and so the same sums, only because
-    # the Gauss-Legendre nodes are exactly antisymmetric and cos is exactly even
+def test_truncated_char_matches_the_every_node_rule():
+    # the half rule stands for all 64 nodes because the Gauss-Legendre nodes are
+    # exactly antisymmetric and cos is even; summed one node pair at a time, it
+    # agrees with the every-node rule's one product to within rounding
     nodes, _ = distributions._gl_nodes(TRUNCATED_CHAR_NODES)
     assert np.array_equal(nodes, -nodes[::-1])
-    half = TRUNCATED_CHAR_NODES // 2
-    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
     branches, longest = set(), 0
     for dist, omega in _truncated_rule_cases():
         width = min(dist.cutoff, TRUNCATED_CHAR_SIGMAS * math.sqrt(dist.variance))
@@ -150,52 +147,38 @@ def test_mirrored_truncated_rule_matches_the_every_node_rule_byte_for_byte(monke
         near = freqs[freqs * width < TRUNCATED_CHAR_MAX_PHASE]
         branches.add((near.size > 1, near.size < freqs.size))
         longest = max(longest, near.size)
-        x = np.multiply.outer(near, nodes[half:] * width)
-        assert np.array_equal(np.cos(-x), np.cos(x))
-        got = distributions._truncated_char_rule(dist.variance, width, near)
         want = truncated_char_rule_by_every_node(dist.variance, width, near)
-        assert got.tobytes() == want.tobytes()
-        value = char_minus(dist, omega)
-        with monkeypatch.context() as patch:
-            patch.setattr(distributions, "_truncated_char_rule", truncated_char_rule_by_every_node)
-            assert value.tobytes() == char_minus(dist, omega).tobytes()
-    # spectra on the rule only, on the series only, and on both; and more than one block
+        assert np.abs(char_minus(dist, near) - want).max() <= 2e-15
+    # spectra on the rule only, on the series only, and on both; and more than 512 frequencies
     assert {(True, False), (False, True), (True, True)} <= branches
-    assert longest > rows
+    assert longest > 512
 
 
-def test_truncated_rule_bytes_do_not_depend_on_the_block_size(monkeypatch):
-    # every block but a merged one-row tail is a matrix-vector product, whose row sums
-    # do not depend on the rows beside them; a one-row block would be a dot product
-    rows = TRUNCATED_CHAR_BLOCK // TRUNCATED_CHAR_NODES
-    inputs = []
+def test_truncated_char_value_does_not_depend_on_the_other_frequencies():
+    # each frequency's sum runs over the same nodes in the same order, whatever
+    # else the call holds
+    pick_rng = np.random.default_rng(5)
     for dist, omega in _truncated_rule_cases():
-        width = min(dist.cutoff, TRUNCATED_CHAR_SIGMAS * math.sqrt(dist.variance))
-        freqs = np.unique(np.append(0.0, np.abs(omega)))
-        inputs.append((dist.variance, width, freqs[freqs * width < TRUNCATED_CHAR_MAX_PHASE]))
-    # a one-row tail at the module's block size, and at every smaller one
-    inputs += [(1.0, 3.0, np.linspace(0.0, 10.0, rows * k + 1)) for k in (1, 2, 8)]
-    for variance, width, freqs in inputs:
-        want = distributions._truncated_char_rule(variance, width, freqs).tobytes()
-        for log2 in range(10, 19):
-            with monkeypatch.context() as patch:
-                patch.setattr(distributions, "TRUNCATED_CHAR_BLOCK", 1 << log2)
-                got = distributions._truncated_char_rule(variance, width, freqs)
-            assert got.tobytes() == want, (freqs.size, log2)
+        values = char_minus(dist, omega).ravel()
+        for k in pick_rng.choice(omega.size, size=min(omega.size, 8), replace=False):
+            alone = char_minus(dist, omega.flat[k])
+            assert alone.tobytes() == values[k].tobytes(), (dist, omega.flat[k])
 
 
-def test_truncated_rule_working_set_stays_within_a_block():
-    # one block's cosines and phases plus the 256 KiB of sums: a 2^18-entry block
-    # alone would take 2 MiB of mirrored cosines
-    freqs = np.linspace(0.0, 10.0, 32769)
-    distributions._gl_nodes(TRUNCATED_CHAR_NODES)
-    tracemalloc.start()
-    try:
-        distributions._truncated_char_rule(1.0, 3.0, freqs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+def test_truncated_char_working_set_is_linear_in_the_frequencies():
+    # a few arrays of the frequencies' size, at most 8 x 8 bytes a frequency: an
+    # n x 32 cosine matrix would take 32 x 8 bytes a frequency by itself
+    dist = TruncatedGaussian(variance=1.0, cutoff=3.0)
+    char_minus(dist, np.linspace(0.0, 10.0, 7))
+    for n in (32769, 523778):
+        omega = np.linspace(0.0, 10.0, n)  # |omega| W at most 30: all on the rule
+        tracemalloc.start()
+        try:
+            char_minus(dist, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * n, (n, peak / n)
 
 
 def test_char_minus_vectorized_and_conjugate_symmetric():
@@ -297,6 +280,13 @@ def test_validation_errors():
         LevyTriplet(sigma2=0.0, gamma=0.0, atoms=((0.0, 1.0),))
     with pytest.raises(DistributionError):
         LevyTriplet(sigma2=0.0, gamma=0.0, atoms=((1.0, -1.0),))
+    # NaN fails every comparison, so each check asks for the valid case
+    with pytest.raises(DistributionError):
+        FiniteMixture(atoms=((0.5, math.nan),))
+    with pytest.raises(DistributionError):
+        FiniteMixture(atoms=((0.5, math.nan), (1.0, 1.0)))
+    with pytest.raises(DistributionError):
+        LevyTriplet(sigma2=0.0, gamma=0.0, atoms=((1.0, math.nan),))
 
 
 def test_sample_law_moments():

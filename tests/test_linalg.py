@@ -138,8 +138,8 @@ def test_hermitian_operator_caches_and_evolves():
     direct = np.diag(np.exp(-1j * np.array([1.0, -1.0]) * 0.7))
     assert np.abs(u - direct).max() < 1e-14
     assert np.abs(op.unitary_at(0.0) - np.eye(2)).max() == 0
-    gaps = op.gaps()
-    assert np.array_equal(gaps, np.array([[0.0, -2.0], [2.0, 0.0]]))
+    lam = op.eigenvalues
+    assert np.array_equal(lam[:, None] - lam, np.array([[0.0, -2.0], [2.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def cases() -> list[tuple[str, list[str], object]]:
     for qubits, pauli in ((2, PAULI_2), (6, PAULI_6)):
         for law in LAWS:
             out.append((f"exact-q{qubits}-{law}", simulate, _config(qubits, pauli, 1.0, law)))
-    # the truncated rule's two branches, and at 128 x 128 more distinct gaps than one block
+    # the truncated rule's two branches, and at 128 x 128 up to 8128 distinct |gaps|
     for law in ("gaussian", "truncated", "truncated-cutoff", "compound-gaussian"):
         out.append((f"exact-q6-t4-{law}", simulate, _config(6, PAULI_6, 4.0, law)))
     for t, law in ((1.0, "truncated"), (4.0, "truncated"), (4.0, "truncated-cutoff")):
