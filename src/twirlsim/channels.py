@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -114,37 +114,73 @@ class SchurMultiplier:
         return choi_of_schur(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CPTPReport:
+    """The CP and TP verdicts of a multiplier and the measures behind them.
+
+    min_eigenvalue is the smallest eigenvalue of hermitian_part, computed the
+    first time it is read; a report without a Hermitian part reads NaN.
+    Reports compare equal when their verdicts and both measures do.
+    """
+
     is_cp: bool
     is_tp: bool
-    min_eigenvalue: float
     max_diag_deviation: float
+    hermitian_part: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def min_eigenvalue(self) -> float:
+        if self.hermitian_part is None:
+            return math.nan
+        return float(np.linalg.eigvalsh(self.hermitian_part).min())
+
+    def _measures(self) -> tuple:
+        return self.is_cp, self.is_tp, self.min_eigenvalue, self.max_diag_deviation
+
+    def __eq__(self, other):
+        if not isinstance(other, CPTPReport):
+            return NotImplemented
+        return self._measures() == other._measures()
 
 
 def cptp_check(mat) -> CPTPReport:
     """Complete positivity and trace preservation of an entrywise multiplier.
 
     CP holds iff the multiplier matrix is PSD; TP holds iff its diagonal is
-    all ones. The minimum eigenvalue is taken of the Hermitian part, and a
-    symmetry defect beyond |CP_EIG_TOL| also disqualifies CP. A multiplier
-    with a non-finite entry is neither, with NaN for both measures. A real
-    multiplier, as every symmetric law gives, is checked in real arithmetic:
-    the same defect and diagonal, and the same spectrum to rounding.
+    all ones. The CP verdict asks whether the Hermitian part's smallest
+    eigenvalue is at least CP_EIG_TOL without computing it: it holds iff the
+    Hermitian part shifted by |CP_EIG_TOL| I has a Cholesky factorisation.
+    The two verdicts differ only for a smallest eigenvalue within rounding
+    of CP_EIG_TOL. A symmetry defect beyond |CP_EIG_TOL| also disqualifies
+    CP. The report's min_eigenvalue is computed from the Hermitian part when
+    read. A multiplier with a non-finite entry is neither, with NaN for both
+    measures. A real multiplier, as every symmetric law gives, is checked in
+    real arithmetic, the factorisation and the spectrum alike: the same
+    defect and diagonal, and the same spectrum to rounding.
     """
     mat = require_square(mat)
     if not np.isfinite(mat).all():
-        return CPTPReport(is_cp=False, is_tp=False, min_eigenvalue=math.nan,
-                          max_diag_deviation=math.nan)
+        return CPTPReport(is_cp=False, is_tp=False, max_diag_deviation=math.nan)
     if not mat.imag.any():
         mat = mat.real
     adj = mat.conj().T
     defect = float(np.abs(mat - adj).max())  # hermiticity_defect, sharing the adjoint
-    min_eig = float(np.linalg.eigvalsh((mat + adj) / 2.0).min())
+    herm = (mat + adj) / 2.0
     max_diag = float(np.abs(np.diag(mat) - 1.0).max())
-    is_cp = min_eig >= CP_EIG_TOL and defect <= abs(CP_EIG_TOL)
+    is_cp = defect <= abs(CP_EIG_TOL) and _factorises(herm, abs(CP_EIG_TOL))
     return CPTPReport(is_cp=is_cp, is_tp=max_diag <= TP_DIAG_TOL,
-                      min_eigenvalue=min_eig, max_diag_deviation=max_diag)
+                      max_diag_deviation=max_diag, hermitian_part=herm)
+
+
+def _factorises(herm: np.ndarray, shift: float) -> bool:
+    """Whether herm + shift I is positive definite, by attempting its Cholesky factor."""
+    shifted = herm.copy()
+    shifted.flat[::herm.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def apply_schur(m: SchurMultiplier, rho) -> np.ndarray:

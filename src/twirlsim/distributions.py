@@ -31,6 +31,11 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(n)
 
 
+def _require_finite(what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DistributionError(f"{what} must be finite, got {value}")
+
+
 def _as_atoms(pairs) -> tuple[tuple[float, float], ...]:
     out = []
     for pair in pairs:
@@ -48,6 +53,7 @@ class Gaussian:
     def __post_init__(self):
         if not self.variance >= 0.0:
             raise DistributionError(f"Gaussian variance must be >= 0, got {self.variance}")
+        _require_finite("Gaussian variance", self.variance)
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,8 @@ class TruncatedGaussian:
     def __post_init__(self):
         if not self.variance >= 0.0:
             raise DistributionError(f"variance must be >= 0, got {self.variance}")
+        _require_finite("variance", self.variance)
+        # cutoff = inf is the untruncated law
         if not self.cutoff > 0.0:
             raise DistributionError(f"cutoff must be > 0, got {self.cutoff}")
 
@@ -84,6 +92,9 @@ class Dirac:
 
     location: float
 
+    def __post_init__(self):
+        _require_finite("Dirac location", self.location)
+
 
 @dataclass(frozen=True)
 class FiniteMixture:
@@ -95,6 +106,8 @@ class FiniteMixture:
         object.__setattr__(self, "atoms", _as_atoms(self.atoms))
         if not self.atoms:
             raise DistributionError("mixture needs at least one atom")
+        for s, _ in self.atoms:
+            _require_finite("mixture atom location", s)
         if any(not p >= 0.0 for _, p in self.atoms):
             raise DistributionError("mixture probabilities must be nonnegative")
         total = math.fsum(p for _, p in self.atoms)
@@ -134,6 +147,7 @@ class CompoundPoisson:
     def __post_init__(self):
         if not self.rate >= 0.0:
             raise DistributionError(f"rate must be >= 0, got {self.rate}")
+        _require_finite("rate", self.rate)
         b = self.base
         if isinstance(b, Dirac):
             if b.location == 0.0:
@@ -165,9 +179,14 @@ class LevyTriplet:
     def __post_init__(self):
         if not self.sigma2 >= 0.0:
             raise DistributionError(f"sigma2 must be >= 0, got {self.sigma2}")
+        _require_finite("sigma2", self.sigma2)
+        _require_finite("gamma", self.gamma)
         object.__setattr__(self, "atoms", _as_atoms(self.atoms))
         if any(not w > 0.0 for _, w in self.atoms):
             raise DistributionError("jump weights must be positive")
+        for s, w in self.atoms:
+            _require_finite("jump location", s)
+            _require_finite("jump weight", w)
         if any(s == 0.0 for s, _ in self.atoms):
             raise DistributionError("jump measure has an atom at 0")
 

@@ -75,8 +75,10 @@ def _cptp(rng, trials: int, inject_fault: bool):
 
     Each is built from the eigenvalues, as exact_channel builds it. A case's
     deviation is max(0, CP slack - min eigenvalue, diagonal deviation), so
-    the threshold can be a single number. inject_fault breaks trace
-    preservation in the first case.
+    the threshold can be a single number. cptp_check decides CP by a
+    factorisation, and a case that passes it has a CP slack term <= 0, so
+    the spectrum is read only for a case that fails CP. inject_fault breaks
+    trace preservation in the first case.
     """
     for _ in range(trials):
         dim = int(rng.integers(2, 9))
@@ -88,7 +90,8 @@ def _cptp(rng, trials: int, inject_fault: bool):
                 m[0, 0] = 0.9  # deliberately break trace preservation
                 inject_fault = False
             report = cptp_check(m)
-            yield np.max([0.0, CP_EIG_TOL - report.min_eigenvalue, report.max_diag_deviation])
+            slack = 0.0 if report.is_cp else CP_EIG_TOL - report.min_eigenvalue
+            yield np.max([0.0, slack, report.max_diag_deviation])
 
 
 def _hs_quadrature(rng, trials: int):

@@ -11,8 +11,9 @@ adds up a Pauli sum through each word's dense kron chain, the reference for
 parse_pauli_sum's signed-permutation scatter. truncated_char_rule_by_every_node
 takes one cosine per quadrature node as one matrix-vector product, the
 reference for char_minus's truncated-Gaussian half rule, summed one node pair
-at a time, and cptp_check_complex checks a multiplier in complex arithmetic,
-the reference for cptp_check's real path.
+at a time, and cptp_check_complex checks a multiplier in complex arithmetic
+with its verdict read from the spectrum, the reference for cptp_check's real
+path and for its factorisation verdict.
 dissipator_matrix_by_kron, random_hermitian_by_norm and canonical_phases_by_column
 are the dissipator's two kron calls, random_hermitian's norm(h, 2) and the
 eigenvector phases applied one column at a time, the references for their
@@ -151,17 +152,22 @@ def truncated_char_rule_by_every_node(variance: float, width: float,
 
 
 def cptp_check_complex(mat) -> CPTPReport:
-    """cptp_check with the defect, the Hermitian part and its spectrum in complex arithmetic."""
+    """cptp_check with the defect, the Hermitian part and its spectrum in complex arithmetic.
+
+    The verdict is read from the smallest eigenvalue, the reference for
+    cptp_check's factorisation; the report holds the same Hermitian part, so
+    its min_eigenvalue is that eigenvalue.
+    """
     mat = require_square(mat)
     if not np.isfinite(mat).all():
-        return CPTPReport(is_cp=False, is_tp=False, min_eigenvalue=math.nan,
-                          max_diag_deviation=math.nan)
+        return CPTPReport(is_cp=False, is_tp=False, max_diag_deviation=math.nan)
     defect = float(np.abs(mat - mat.conj().T).max())
-    min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
+    herm = (mat + mat.conj().T) / 2.0
+    min_eig = float(np.linalg.eigvalsh(herm).min())
     max_diag = float(np.abs(np.diag(mat) - 1.0).max())
     is_cp = min_eig >= CP_EIG_TOL and defect <= abs(CP_EIG_TOL)
     return CPTPReport(is_cp=is_cp, is_tp=max_diag <= TP_DIAG_TOL,
-                      min_eigenvalue=min_eig, max_diag_deviation=max_diag)
+                      max_diag_deviation=max_diag, hermitian_part=herm)
 
 
 def dissipator_matrix_by_kron(h) -> np.ndarray:

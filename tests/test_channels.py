@@ -6,6 +6,7 @@ import pytest
 
 from twirlsim import (
     CompoundPoisson,
+    CPTPReport,
     CPTPWarning,
     Dirac,
     FiniteMixture,
@@ -39,6 +40,9 @@ from twirlsim import (
     trace_norm,
     vec,
 )
+from twirlsim.channels import CP_EIG_TOL
+from twirlsim.distributions import multiplier
+from twirlsim.verify import _random_distributions
 
 from oracles import (
     apply_choi_by_einsum,
@@ -115,53 +119,86 @@ REAL_LAWS = {"gaussian": Gaussian(variance=0.8),
 
 
 @pytest.fixture
-def eigvalsh_dtypes(monkeypatch):
-    """The dtype of every matrix passed to np.linalg.eigvalsh, in call order."""
-    seen, eigvalsh = [], np.linalg.eigvalsh
+def linalg_dtypes(monkeypatch):
+    """The dtype of every matrix passed to np.linalg.cholesky and to np.linalg.eigvalsh.
 
-    def recording(a, *args, **kwargs):
-        seen.append(a.dtype)
-        return eigvalsh(a, *args, **kwargs)
+    One list per function, in call order.
+    """
+    seen = {"cholesky": [], "eigvalsh": []}
+    for name, calls in seen.items():
+        def recording(a, *args, _calls=calls, _wrapped=getattr(np.linalg, name), **kwargs):
+            _calls.append(a.dtype)
+            return _wrapped(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        monkeypatch.setattr(np.linalg, name, recording)
     return seen
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 64])
 @pytest.mark.parametrize("law", REAL_LAWS.values(), ids=REAL_LAWS.keys())
-def test_real_multiplier_checked_in_real_arithmetic(dim, law, eigvalsh_dtypes):
+def test_real_multiplier_checked_in_real_arithmetic(dim, law, linalg_dtypes):
     case_rng = np.random.default_rng(dim)
     for scale in (0.05, 1.0, 6.0):
         lam = np.sort(case_rng.normal(scale=scale, size=dim))
         m = char_minus(law, lam[:, None] - lam[None, :])
         assert m.dtype == np.complex128 and not m.imag.any()
         got = cptp_check(m)
-        assert eigvalsh_dtypes[-1] == np.float64
+        assert linalg_dtypes["cholesky"][-1] == np.float64
+        n_spectra = len(linalg_dtypes["eigvalsh"])
+        got_min_eig = got.min_eigenvalue
+        assert linalg_dtypes["eigvalsh"][n_spectra:] == [np.float64]
         want = cptp_check_complex(m)
-        assert eigvalsh_dtypes[-1] == np.complex128
+        want_min_eig = want.min_eigenvalue
+        assert linalg_dtypes["eigvalsh"][-1] == np.complex128
         assert got.is_cp and got.is_tp
         assert (got.is_cp, got.is_tp, got.max_diag_deviation) == \
             (want.is_cp, want.is_tp, want.max_diag_deviation)
-        assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-12
+        assert abs(got_min_eig - want_min_eig) <= 1e-12
 
 
-def test_real_path_takes_signed_zero_imaginary_parts_only(eigvalsh_dtypes):
+def test_real_path_takes_signed_zero_imaginary_parts_only(linalg_dtypes):
     lam = np.sort(rng.normal(size=6))
     m = char_minus(Gaussian(variance=0.7), lam[:, None] - lam[None, :])
     signed = m.copy()
     signed.imag = -0.0
     signed.imag[::2] = 0.0
     assert np.signbit(signed.imag).any()
+    assert linalg_dtypes == {"cholesky": [], "eigvalsh": []}
+    # equality compares min_eigenvalue, so it reads both spectra
     assert cptp_check(signed) == cptp_check(m)
-    assert eigvalsh_dtypes == [np.float64, np.float64]
+    assert linalg_dtypes == {"cholesky": [np.float64, np.float64],
+                             "eigvalsh": [np.float64, np.float64]}
     # the smallest imaginary part keeps the complex check, which alone sees this
     # multiplier fail: its real part is the identity, its eigenvalues are 1 +- 1.5
     for im in (5e-324, 1.5):
         m = np.array([[1.0, 1j * im], [-1j * im, 1.0]])
         report = cptp_check(m)
-        assert eigvalsh_dtypes[-1] == np.complex128
+        assert linalg_dtypes["cholesky"][-1] == np.complex128
         assert report == cptp_check_complex(m)
+        assert linalg_dtypes["eigvalsh"][-1] == np.complex128
         assert report.is_cp == (im < 1.0)
+
+
+def test_spectrum_is_computed_once_and_only_when_read(linalg_dtypes):
+    lam = np.sort(rng.normal(size=8))
+    m = char_minus(FiniteMixture(atoms=((0.8, 0.5), (-0.4, 0.5))), lam[:, None] - lam[None, :])
+    apply_schur(SchurMultiplier(np.eye(8, dtype=complex), m), maximally_mixed(8))
+    report = cptp_check(m)
+    assert linalg_dtypes == {"cholesky": [np.complex128] * 2, "eigvalsh": []}
+    assert report.min_eigenvalue == report.min_eigenvalue == \
+        float(np.linalg.eigvalsh(report.hermitian_part).min())
+    assert linalg_dtypes["eigvalsh"] == [np.complex128] * 2
+
+
+def test_reports_compare_their_min_eigenvalue():
+    # the same verdicts and diagonal deviation, but smallest eigenvalues 1 and 2
+    one, two = (CPTPReport(is_cp=True, is_tp=True, max_diag_deviation=0.0,
+                           hermitian_part=k * np.eye(2)) for k in (1.0, 2.0))
+    assert one != two
+    assert one == CPTPReport(is_cp=True, is_tp=True, max_diag_deviation=0.0,
+                             hermitian_part=np.eye(2))
+    assert math.isnan(CPTPReport(is_cp=False, is_tp=False,
+                                 max_diag_deviation=math.nan).min_eigenvalue)
 
 
 def test_real_indefinite_multiplier_fails_cp_and_warns():
@@ -173,8 +210,80 @@ def test_real_indefinite_multiplier_fails_cp_and_warns():
         assert (report.is_cp, report.is_tp, report.max_diag_deviation) == \
             (want.is_cp, want.is_tp, want.max_diag_deviation)
         assert abs(report.min_eigenvalue - want.min_eigenvalue) <= 1e-12
-        with pytest.warns(CPTPWarning):
+        with pytest.warns(CPTPWarning, match=r"^multiplier fails CPTP check \(cp=False, tp=True\); "
+                                             r"applying anyway$"):
             apply_schur(SchurMultiplier(np.eye(2, dtype=complex), m), PLUS)
+
+
+def test_symmetry_defect_above_the_tolerance_fails_cp_and_warns():
+    # a PSD Hermitian part whose defect alone decides the verdict
+    for defect, is_cp in ((2e-9, False), (5e-10, True)):
+        m = np.array([[1.0, 0.5 + defect], [0.5, 1.0]])
+        report = cptp_check(m)
+        assert (report.is_cp, report.is_tp) == (is_cp, True)
+        assert report.min_eigenvalue > 0.4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", CPTPWarning)
+            apply_schur(SchurMultiplier(np.eye(2, dtype=complex), m), PLUS)
+        assert [str(w.message) for w in caught] == \
+            ([] if is_cp else ["multiplier fails CPTP check (cp=False, tp=True); applying anyway"])
+
+
+def _rounding_band(herm) -> float:
+    # the factorisation and the spectrum each see herm to within about
+    # d * eps * ||herm||_2 (the backward error of Cholesky and of eigvalsh); the
+    # measured gap between the two verdicts' thresholds is ~1.4 eps ||herm||_2
+    return herm.shape[0] * np.finfo(np.float64).eps * max(1.0, float(np.linalg.norm(herm, 2)))
+
+
+def _spectrum_verdict(m, report) -> bool:
+    defect = float(np.abs(m - m.conj().T).max())
+    return report.min_eigenvalue >= CP_EIG_TOL and defect <= abs(CP_EIG_TOL)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 64])
+def test_factorisation_verdict_agrees_with_the_spectrum(dim):
+    # all six laws' multipliers, as given and with the diagonal moved so that the
+    # smallest eigenvalue lands at CP_EIG_TOL + offset; an offset of 0 lands in the
+    # rounding band, where either verdict is right and none is checked
+    case_rng = np.random.default_rng(dim)
+    offsets = (-0.5, -1e-9, -1e-11, 0.0, 1e-11, 1e-9)
+    checked = 0
+    for _ in range(5):
+        lam = np.sort(case_rng.normal(scale=case_rng.choice([0.05, 1.0, 6.0]), size=dim))
+        for law in _random_distributions(case_rng):
+            base = multiplier(law, lam)
+            lowest = float(np.linalg.eigvalsh((base + base.conj().T) / 2.0).min())
+            for m in [base] + [base - (lowest - CP_EIG_TOL - off) * np.eye(dim)
+                               for off in offsets]:
+                report = cptp_check(m)
+                if abs(report.min_eigenvalue - CP_EIG_TOL) <= _rounding_band(report.hermitian_part):
+                    continue
+                assert report.is_cp == _spectrum_verdict(m, report)
+                checked += 1
+    assert checked >= 5 * 6 * len(offsets)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 64])
+@pytest.mark.parametrize("field", [np.float64, np.complex128])
+def test_factorisation_verdict_just_beside_the_tolerance(dim, field):
+    # Hermitian matrices with spectrum in [0, 1] but for a smallest eigenvalue of
+    # CP_EIG_TOL +- 1e-11, far outside the rounding band (under 1e-13 here)
+    case_rng = np.random.default_rng(dim)
+    for _ in range(10):
+        g = case_rng.normal(size=(dim, dim))
+        if field is np.complex128:
+            g = g + 1j * case_rng.normal(size=(dim, dim))
+        q = np.linalg.qr(g)[0]
+        for off in (-1e-11, 1e-11):
+            spectrum = case_rng.uniform(0.0, 1.0, size=dim)
+            spectrum[case_rng.integers(dim)] = CP_EIG_TOL + off
+            a = (q * spectrum) @ q.conj().T
+            h = (a + a.conj().T) / 2.0
+            report = cptp_check(h)
+            assert _rounding_band(h) < 1e-13
+            assert abs(report.min_eigenvalue - (CP_EIG_TOL + off)) < 1e-13
+            assert report.is_cp == (report.min_eigenvalue >= CP_EIG_TOL) == (off > 0)
 
 
 def test_every_law_applies_at_d64_without_cptp_warning():

@@ -257,6 +257,38 @@ def test_scale_triplet_at_time_zero_is_point_mass():
         scale_triplet(trip, -1.0)
 
 
+NON_FINITE_LAWS = {
+    "gaussian-variance": lambda x: Gaussian(variance=x),
+    "truncated-variance": lambda x: TruncatedGaussian(variance=x, cutoff=2.0),
+    "dirac-location": lambda x: Dirac(location=x),
+    "mixture-location": lambda x: FiniteMixture(atoms=((x, 0.5), (1.0, 0.5))),
+    "compound-rate": lambda x: CompoundPoisson(rate=x, base=Dirac(1.0)),
+    "levy-sigma2": lambda x: LevyTriplet(sigma2=x, gamma=0.0),
+    "levy-gamma": lambda x: LevyTriplet(sigma2=0.0, gamma=x),
+    "levy-jump-location": lambda x: LevyTriplet(sigma2=0.0, gamma=0.0, atoms=((x, 1.0),)),
+    "levy-jump-weight": lambda x: LevyTriplet(sigma2=0.0, gamma=0.0, atoms=((1.0, x),)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", NON_FINITE_LAWS.values(), ids=NON_FINITE_LAWS.keys())
+def test_non_finite_parameters_are_rejected(build, value):
+    # before this check char_minus(Gaussian(inf), 0) was NaN, not a rejected law
+    with pytest.raises(DistributionError):
+        build(value)
+
+
+def test_overflowing_time_scaling_is_rejected():
+    with pytest.raises(DistributionError, match="sigma2 must be finite"):
+        scale_triplet(LevyTriplet(sigma2=1e300, gamma=0.0), 1e10)
+
+
+def test_infinite_cutoff_is_the_untruncated_law():
+    w = np.linspace(-4.0, 4.0, 17)
+    law = TruncatedGaussian(variance=0.7, cutoff=math.inf)
+    assert np.abs(char_minus(law, w) - char_minus(Gaussian(variance=0.7), w)).max() < 1e-14
+
+
 def test_validation_errors():
     with pytest.raises(DistributionError):
         Gaussian(variance=-0.1)
