@@ -86,18 +86,33 @@ class TruncatedGaussian:
         return times, np.sqrt(density / density.sum())
 
 
+class _Atomic:
+    """A law of finitely many atoms, `atoms` as (location, probability) pairs."""
+
+    @cached_property
+    def _phase_atoms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        # locations, square roots of the probabilities and the largest |location|,
+        # built once for multiplier
+        locations = np.array([s for s, _ in self.atoms])
+        return locations, np.sqrt([p for _, p in self.atoms]), float(np.abs(locations).max())
+
+
 @dataclass(frozen=True)
-class Dirac:
-    """Point mass at location."""
+class Dirac(_Atomic):
+    """Point mass at location: the one-atom mixture ((location, 1.0),)."""
 
     location: float
 
     def __post_init__(self):
         _require_finite("Dirac location", self.location)
 
+    @property
+    def atoms(self) -> tuple[tuple[float, float], ...]:
+        return ((self.location, 1.0),)
+
 
 @dataclass(frozen=True)
-class FiniteMixture:
+class FiniteMixture(_Atomic):
     """Finitely many atoms (location, probability) with probabilities summing to 1."""
 
     atoms: tuple[tuple[float, float], ...]
@@ -123,13 +138,6 @@ class FiniteMixture:
         cdf /= cdf[-1]
         return locations, cdf
 
-    @cached_property
-    def _phase_atoms(self) -> tuple[np.ndarray, np.ndarray, float]:
-        # locations, square roots of the probabilities and the largest |location|,
-        # built once for multiplier
-        locations = np.array([s for s, _ in self.atoms])
-        return locations, np.sqrt([p for _, p in self.atoms]), float(np.abs(locations).max())
-
 
 BaseLaw = Union[Dirac, FiniteMixture, Gaussian]
 
@@ -149,10 +157,7 @@ class CompoundPoisson:
             raise DistributionError(f"rate must be >= 0, got {self.rate}")
         _require_finite("rate", self.rate)
         b = self.base
-        if isinstance(b, Dirac):
-            if b.location == 0.0:
-                raise DistributionError("compound Poisson base has an atom at 0")
-        elif isinstance(b, FiniteMixture):
+        if isinstance(b, _Atomic):
             if any(s == 0.0 and p > 0.0 for s, p in b.atoms):
                 raise DistributionError("compound Poisson base has an atom at 0")
         elif isinstance(b, Gaussian):
@@ -241,13 +246,7 @@ def _(dist: Gaussian, omega):
 
 
 @char_minus.register
-def _(dist: Dirac, omega):
-    w = np.asarray(omega, dtype=np.float64)
-    return np.exp(-1j * dist.location * w)
-
-
-@char_minus.register
-def _(dist: FiniteMixture, omega):
+def _(dist: _Atomic, omega):
     w = np.asarray(omega, dtype=np.float64)
     acc = np.zeros(w.shape, dtype=np.complex128)
     for s, p in dist.atoms:
@@ -258,20 +257,6 @@ def _(dist: FiniteMixture, omega):
 @char_minus.register
 def _(dist: CompoundPoisson, omega):
     return np.exp(dist.rate * (char_minus(dist.base, omega) - 1.0))
-
-
-def _truncated_char_series(variance: float, width: float, freqs: np.ndarray) -> np.ndarray:
-    """exp(-b^2) Re erf(a + ib) / erf(a), a = W / sqrt(2v), b = omega sqrt(v/2), by the erfc series."""
-    a = width / math.sqrt(2.0 * variance)
-    b = freqs * math.sqrt(0.5 * variance)
-    z = a + 1j * b
-    term = total = np.ones_like(z)
-    for k in range(1, TRUNCATED_CHAR_TERMS):
-        term = term * (-(2 * k - 1) / (2.0 * z * z))
-        total = total + term
-    # erfc(z) ~ exp(-z^2) total / (z sqrt(pi)), and exp(-b^2 - z^2) = exp(-a^2 - 2iab)
-    tail = np.exp(-a * a - 2j * a * b) * total / (z * math.sqrt(math.pi))
-    return (np.exp(-b * b) - tail.real) / math.erf(a)
 
 
 @char_minus.register
@@ -300,7 +285,17 @@ def _(dist: TruncatedGaussian, omega):
         value[:near] += root * root * np.cos(freqs[:near] * time)
     value[:near] /= value[0]
     if near < freqs.size:
-        value[near:] = _truncated_char_series(dist.variance, width, freqs[near:])
+        # exp(-b^2) Re erf(a + ib) / erf(a), a = W / sqrt(2v), b = omega sqrt(v/2)
+        a = width / math.sqrt(2.0 * dist.variance)
+        b = freqs[near:] * math.sqrt(0.5 * dist.variance)
+        z = a + 1j * b
+        term = total = np.ones_like(z)
+        for k in range(1, TRUNCATED_CHAR_TERMS):
+            term = term * (-(2 * k - 1) / (2.0 * z * z))
+            total = total + term
+        # erfc(z) ~ exp(-z^2) total / (z sqrt(pi)), and exp(-b^2 - z^2) = exp(-a^2 - 2iab)
+        tail = np.exp(-a * a - 2j * a * b) * total / (z * math.sqrt(math.pi))
+        value[near:] = (np.exp(-b * b) - tail.real) / math.erf(a)
     return value[where[1:]].reshape(w.shape).astype(np.complex128)
 
 
@@ -357,8 +352,8 @@ def _phase_gram(lam: np.ndarray, lo, spread, times: np.ndarray, roots: np.ndarra
 
 @multiplier.register
 def _(dist: TruncatedGaussian, eigenvalues):
-    # the 64-node rule of char_minus below TRUNCATED_CHAR_MAX_PHASE, and the
-    # erfc series at and above it, once per distinct such |gap|
+    # the 64-node rule of char_minus below TRUNCATED_CHAR_MAX_PHASE, and
+    # char_minus itself (its erfc series) at and above it
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if dist.variance == 0.0:
         return np.ones((lam.size, lam.size), dtype=np.complex128)
@@ -371,14 +366,13 @@ def _(dist: TruncatedGaussian, eigenvalues):
     if spread * width >= TRUNCATED_CHAR_MAX_PHASE:
         gaps = np.abs(lam[:, None] - lam)
         far = gaps * width >= TRUNCATED_CHAR_MAX_PHASE
-        freqs, where = np.unique(gaps[far], return_inverse=True)
-        out[far] = _truncated_char_series(dist.variance, width, freqs)[where]
+        out[far] = char_minus(dist, gaps[far])
     return out
 
 
-def _atom_multiplier(dist, eigenvalues, locations: np.ndarray, roots: np.ndarray,
-                     reach: float) -> np.ndarray:
-    # reach: the largest |location|
+@multiplier.register
+def _(dist: _Atomic, eigenvalues):
+    locations, roots, reach = dist._phase_atoms  # reach: the largest |location|
     lam = np.asarray(eigenvalues, dtype=np.float64)
     lo = lam.min()
     spread = lam.max() - lo
@@ -386,17 +380,6 @@ def _atom_multiplier(dist, eigenvalues, locations: np.ndarray, roots: np.ndarray
         # a location times a gap overflows: the gap route, non-finite there
         return _at_gaps(dist, lam)
     return _phase_gram(lam, lo, spread, locations, roots, symmetric=False)
-
-
-@multiplier.register
-def _(dist: Dirac, eigenvalues):
-    return _atom_multiplier(dist, eigenvalues, np.array([dist.location]), np.ones(1),
-                            abs(dist.location))
-
-
-@multiplier.register
-def _(dist: FiniteMixture, eigenvalues):
-    return _atom_multiplier(dist, eigenvalues, *dist._phase_atoms)
 
 
 @singledispatch

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .channels import SchurMultiplier
 from .distributions import BaseLaw, CompoundPoisson, sample_law
@@ -56,25 +55,6 @@ BENCH_STREAMS = 2 << 62
 VERIFY_STREAMS = 3 << 62
 _STREAM_INDICES = 1 << 64  # stream indices, and seeds mod this, are one uint64 word
 _MAX_EPSILON = 4.0  # cutoff is real and positive only for epsilon below 4
-
-
-class _PhiloxKey(ISeedSequence):
-    """Seed sequence that hands Philox one fixed 128-bit key, [key, 0], as is.
-
-    Philox(key=...) would first build a SeedSequence from OS entropy and
-    then overwrite it; this supplies the key words directly instead.
-    """
-
-    __slots__ = ("_words",)
-
-    def __init__(self, key: int):
-        self._words = np.array([key, 0], dtype=np.uint64)
-        self._words.flags.writeable = False
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a Philox key is 2 uint64 words, asked for {n_words} {dtype}")
-        return self._words
 
 
 def derived_rng(seed: int, index: int, reuse: np.random.Generator | None = None
@@ -97,7 +77,8 @@ def derived_rng(seed: int, index: int, reuse: np.random.Generator | None = None
     if not 0 <= index < _STREAM_INDICES:
         raise ValueError(f"stream index must be in [0, 2**64), got {index}")
     if reuse is None:
-        reuse = np.random.Generator(np.random.Philox(_PhiloxKey(0)))
+        # seeded from 0, so no OS entropy is read; the state set below replaces it whole
+        reuse = np.random.Generator(np.random.Philox(0))
     # the state of a fresh Philox with key (seed, 0) and counter (0, 0, 0, index); another
     # bit generator's state setter raises ValueError on it
     reuse.bit_generator.state = {

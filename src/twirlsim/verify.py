@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import CP_EIG_TOL, TP_DIAG_TOL, cptp_check, random_density_matrix
+from .channels import TP_DIAG_TOL, cptp_check, random_density_matrix
 from .distributions import (
     CompoundPoisson,
     Dirac,
@@ -21,7 +21,7 @@ from .distributions import (
     char_minus,
     multiplier,
 )
-from .linalg import HermitianOperator, random_hermitian
+from .linalg import HermitianOperator, hermiticity_defect, random_hermitian
 from .sampling import VERIFY_STREAMS, derived_rng
 from .twirling import gaussian_evolution, hs_quadrature_check, schur_multiplier_for, vectorized_oracle
 
@@ -74,11 +74,13 @@ def _cptp(rng, trials: int, inject_fault: bool):
     """Every distribution's multiplier must be CP (PSD) and TP (unit diagonal).
 
     Each is built from the eigenvalues, as exact_channel builds it. A case's
-    deviation is max(0, CP slack - min eigenvalue, diagonal deviation), so
-    the threshold can be a single number. cptp_check decides CP by a
-    factorisation, and a case that passes it has a CP slack term <= 0, so
-    the spectrum is read only for a case that fails CP. inject_fault breaks
-    trace preservation in the first case.
+    deviation is its diagonal deviation, and for a case that cptp_check
+    marks not CP also its symmetry defect and minus its smallest eigenvalue,
+    so the threshold can be a single number. Failing CP means a defect or an
+    eigenvalue beyond |CP_EIG_TOL|, which exceeds the threshold TP_DIAG_TOL,
+    so every such case fails. The spectrum and the defect are read only for
+    a case that fails CP. inject_fault breaks trace preservation in the
+    first case.
     """
     for _ in range(trials):
         dim = int(rng.integers(2, 9))
@@ -90,8 +92,8 @@ def _cptp(rng, trials: int, inject_fault: bool):
                 m[0, 0] = 0.9  # deliberately break trace preservation
                 inject_fault = False
             report = cptp_check(m)
-            slack = 0.0 if report.is_cp else CP_EIG_TOL - report.min_eigenvalue
-            yield np.max([0.0, slack, report.max_diag_deviation])
+            cp = [] if report.is_cp else [-report.min_eigenvalue, hermiticity_defect(m)]
+            yield np.max([0.0, *cp, report.max_diag_deviation])
 
 
 def _hs_quadrature(rng, trials: int):

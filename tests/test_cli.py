@@ -22,7 +22,7 @@ from twirlsim import (
     read_matrix,
     write_matrix,
 )
-from twirlsim import ParseError, cli, cvqpe, linalg, pauli
+from twirlsim import ParseError, cli, cvqpe, linalg, pauli, verify
 from twirlsim.cli import MAX_VERIFY_DIM, MAX_VERIFY_TRIALS, METRICS_HEADER, build_parser, main
 from twirlsim.config import MAX_QUBITS
 from twirlsim.distributions import CompoundPoisson, TruncatedGaussian
@@ -907,6 +907,18 @@ def test_verify_inject_fault_fails(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_fails_a_multiplier_that_is_not_cp_only_by_its_symmetry_defect(
+        monkeypatch, capsys):
+    skew = np.array([[1, 0.5 + 1e-6], [0.5, 1]], dtype=complex)
+    monkeypatch.setattr(verify, "multiplier", lambda dist, lam: skew)
+    code = main(["verify", "--dims", "2", "--trials", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line.split()[-1] for line in out.splitlines()[1:-1]] == \
+        ["PASS", "PASS", "FAIL", "PASS", "PASS"]
+    assert out.splitlines()[-1] == "verification FAILED"
 
 
 def test_bench_stdout_and_csv(tmp_path, capsys):

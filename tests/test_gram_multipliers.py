@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 
 from twirlsim import (
+    CompoundPoisson,
     Dirac,
+    DistributionError,
     FiniteMixture,
     HermitianOperator,
     TruncatedGaussian,
     exact_channel,
     random_density_matrix,
 )
-from twirlsim.distributions import TRUNCATED_CHAR_MAX_PHASE, multiplier
+from twirlsim.distributions import TRUNCATED_CHAR_MAX_PHASE, char_minus, multiplier
 
 from oracles import multiplier_by_gaps
 
@@ -121,3 +123,43 @@ def test_overflowing_phases_stay_non_finite():
             m = multiplier(law, eigenvalues)
             assert not np.isfinite(m).all(), law
             assert np.array_equal(m, multiplier_by_gaps(law, eigenvalues), equal_nan=True)
+
+
+def test_a_point_mass_is_the_one_atom_mixture_byte_for_byte():
+    rng = np.random.default_rng(28)
+    omegas = np.concatenate([[0.0, -0.0, 1e-300, -1e-300], rng.normal(size=60) * 10.0])
+    locations = np.concatenate([[0.0, -0.0, 1.0, -1.0], rng.normal(size=20) * 3.0])
+    for s in locations.tolist():
+        point, mixture = Dirac(s), FiniteMixture(atoms=((s, 1.0),))
+        assert point.atoms == mixture.atoms
+        # the sign of a zero imaginary part shows in the bytes
+        assert char_minus(point, omegas).tobytes() == char_minus(mixture, omegas).tobytes()
+        for w in (0.0, -0.0):
+            assert char_minus(point, w).tobytes() == char_minus(mixture, w).tobytes()
+        for d in (1, 2, 8, 64):
+            for lam in _spectra(d, float(rng.uniform(0.5, 20.0)), rng):
+                assert multiplier(point, lam).tobytes() == multiplier(mixture, lam).tobytes()
+        if s != 0.0:
+            rate = float(rng.uniform(0.1, 5.0))
+            assert (char_minus(CompoundPoisson(rate, point), omegas).tobytes()
+                    == char_minus(CompoundPoisson(rate, mixture), omegas).tobytes())
+
+
+def test_truncated_entries_beyond_the_rule_are_char_minus_byte_for_byte():
+    reached = 0
+    for d in (2, 8, 64):
+        for lam, law in _cases(d, seed=d + 7):
+            if not isinstance(law, TruncatedGaussian):
+                continue
+            gaps = lam[:, None] - lam
+            far = np.abs(gaps) * law._window >= TRUNCATED_CHAR_MAX_PHASE
+            got = multiplier(law, lam)[far]
+            assert got.tobytes() == char_minus(law, gaps[far]).tobytes()
+            reached += far.any()
+    assert reached > 0
+
+
+@pytest.mark.parametrize("location", [0.0, -0.0])
+def test_a_point_mass_at_zero_is_no_compound_poisson_base(location):
+    with pytest.raises(DistributionError, match="compound Poisson base has an atom at 0"):
+        CompoundPoisson(1.0, Dirac(location))

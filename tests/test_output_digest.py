@@ -70,6 +70,18 @@ def test_cases_cover_every_kind_and_subcommand():
     assert {argv[0] for _, argv, _ in cases} == set(subcommands)
 
 
+def test_cases_cover_every_input_form():
+    configs = [cfg[0] if isinstance(cfg, tuple) else cfg for _, _, cfg in digest.cases()]
+    configs = [cfg for cfg in configs if isinstance(cfg, dict)]
+    assert {key for cfg in configs for key in cfg["system"]} == {"qubits", "dim"}
+    assert {key for cfg in configs for key in cfg["hamiltonian"]} == {"pauli", "matrix_file"}
+    # a preset by name, a basis index bare or keyed, and a file
+    forms = {next(iter(state)) if isinstance(state, dict) else
+             state if isinstance(state, str) else type(state).__name__
+             for state in (cfg["initial_state"] for cfg in configs)}
+    assert forms >= {"plus_all", "maximally_mixed", "int", "basis", "file"}
+
+
 def test_digest_lines_are_reproducible():
     # one case of each output shape: state and metrics files, stdout naming the
     # working directory, the qpe and bench CSVs, the verify report, an exit-2 message;
@@ -78,7 +90,8 @@ def test_digest_lines_are_reproducible():
     from twirlsim.cli import main
 
     chosen = {"exact-q6-t4-truncated", "sampled-compound-mixture-shots4097-seed-9",
-              "qpe-csv-out", "bench-csv-out", "verify-inject-fault", "exit2-outputs-same-file"}
+              "qpe-csv-out", "bench-csv-out", "verify-inject-fault", "exit2-outputs-same-file",
+              "exact-dim3-matrix-file-state-file"}
     cases = [case for case in digest.cases() if case[0] in chosen]
     assert len(cases) == len(chosen)
     first = {name: digest.run_case(main, argv, cfg) for name, argv, cfg in cases}
@@ -88,6 +101,7 @@ def test_digest_lines_are_reproducible():
     for name, line in first.items():
         assert line.startswith(f"exit={expected_exit.get(name, 0)} "), (name, line)
     assert "state.txt=" in first["exact-q6-t4-truncated"]
+    assert "state.txt=" in first["exact-dim3-matrix-file-state-file"]
     assert "metrics.csv=" in first["sampled-compound-mixture-shots4097-seed-9"]
     assert "qpe.csv=" in first["qpe-csv-out"] and "bench.csv=" in first["bench-csv-out"]
 

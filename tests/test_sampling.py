@@ -513,16 +513,6 @@ def test_derived_rng_reuse_checks_index_and_bit_generator():
         derived_rng(7, 0, np.random.default_rng(0))
 
 
-def test_philox_key_refuses_any_other_state_request():
-    key = sampling._PhiloxKey(7)
-    assert np.array_equal(key.generate_state(2, np.uint64), [7, 0])
-    # the words are shared by every stream under one seed
-    assert not key.generate_state(2, np.uint64).flags.writeable
-    for n_words, dtype in [(4, np.uint64), (2, np.uint32), (1, np.uint64)]:
-        with pytest.raises(ValueError):
-            key.generate_state(n_words, dtype)
-
-
 def test_derived_rng_reads_no_os_entropy(monkeypatch):
     calls = []
     real = bit_generator.randbits

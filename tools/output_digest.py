@@ -20,7 +20,8 @@ run's own timing is its one non-deterministic output. An empty stream prints
 To show that a change keeps every output byte, run the tool on the parent
 and on the change and ``diff`` the two outputs: each differing line names a
 case whose output moved. The case list covers every distribution kind, exact
-and sampled, every subcommand, and the exit-2 cases of the input checks.
+and sampled, every subcommand, every form of the system, Hamiltonian and
+initial state, and the exit-2 cases of the input checks.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ LAWS = {
              "atoms": [[0.7, 0.5], [-1.5, 0.3]], "compensated": True},
     "levy-plain": {"kind": "levy", "gamma": -0.3, "atoms": [[0.7, 0.5]]},
 }
+# input files in the matrix text format: a 3 x 3 Hamiltonian and a density matrix
+MATRIX_FILES = {"h.txt": "3 3\n1+0j 0.5-0.25j 0+0j\n0.5+0.25j -0.5+0j 0.3+0j\n0+0j 0.3+0j 0.25+0j\n",
+                "rho.txt": "3 3\n0.5+0j 0.1+0.2j 0+0j\n0.1-0.2j 0.3+0j 0+0.05j\n"
+                           "0+0j 0-0.05j 0.2+0j\n"}
 SAMPLED_LAWS = ("gaussian", "truncated", "truncated-cutoff",
                 "compound-dirac", "compound-mixture", "compound-gaussian")
 SHOTS = (1, 4096, 4097)  # one shot, one full 4096-shot chunk, and one past it
@@ -79,10 +84,12 @@ def _config(qubits=2, pauli=PAULI_2, t=1.0, law="gaussian", sampler=None, **sect
 
 
 def cases() -> list[tuple[str, list[str], object]]:
-    """(name, argv, config) for every case; a config is a mapping, raw JSON text, or None.
+    """(name, argv, config) for every case; a config is a mapping, raw JSON text, None,
+    or a (config, {file name: text}) pair.
 
     The config, when given, is written to run.json in the case's directory,
     which is also the working directory, so argv names files relative to it.
+    A pair's files are written there too, as the inputs the config names.
     """
     simulate = ["simulate", "--config", "run.json"]
     out = []
@@ -107,6 +114,14 @@ def cases() -> list[tuple[str, list[str], object]]:
     for law in ("dirac", "mixture", "levy"):
         out.append((f"sampled-{law}-has-no-sampler", simulate,
                     _config(law=law, sampler={"shots": 10, "seed": 7})))
+    # a dimension without qubits, its Hamiltonian read from a file, and every other
+    # form of the initial state
+    for name, state in (("file", {"file": "rho.txt"}), ("basis", {"basis": 2}),
+                        ("integer", 1), ("maximally-mixed", "maximally_mixed")):
+        out.append((f"exact-dim3-matrix-file-state-{name}", simulate,
+                    (_config(law="mixture", system={"dim": 3},
+                             hamiltonian={"matrix_file": "h.txt"}, initial_state=state),
+                     MATRIX_FILES)))
 
     qpe = _config(sampler={"shots": 3000, "seed": 6})
     out += [("qpe", ["qpe", "--config", "run.json"], qpe),
@@ -176,6 +191,9 @@ def run_case(main, argv: list[str], config) -> str:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        config, inputs = config if isinstance(config, tuple) else (config, {})
+        for name, text in inputs.items():
+            (work / name).write_text(text)
         if config is not None:
             (work / "run.json").write_text(config if isinstance(config, str)
                                            else json.dumps(config))
