@@ -26,6 +26,9 @@ from .linalg import (
 DENSITY_ATOL = 1e-10
 CP_EIG_TOL = -1e-9
 TP_DIAG_TOL = 1e-10
+# numpy computes a binary operation on a temporary array of at least this size in
+# the temporary's own buffer, swapping the operands of a commutative one
+_ELIDED_BYTES = 256 * 1024
 
 
 class CPTPWarning(UserWarning):
@@ -157,6 +160,11 @@ def cptp_check(mat) -> CPTPReport:
     measures. A real multiplier, as every symmetric law gives, is checked in
     real arithmetic, the factorisation and the spectrum alike: the same
     defect and diagonal, and the same spectrum to rounding.
+
+    mat is only read, so a read-only array is accepted. One d x d buffer
+    holds M - M^dag for the defect and is then overwritten with the
+    Hermitian part, (M + M^dag) / 2, halved in place; the factorisation
+    shifts that buffer's diagonal and restores it (see _factorises).
     """
     mat = require_square(mat)
     if not np.isfinite(mat).all():
@@ -164,22 +172,33 @@ def cptp_check(mat) -> CPTPReport:
     if not mat.imag.any():
         mat = mat.real
     adj = mat.conj().T
-    defect = float(np.abs(mat - adj).max())  # hermiticity_defect, sharing the adjoint
-    herm = (mat + adj) / 2.0
-    max_diag = float(np.abs(np.diag(mat) - 1.0).max())
+    herm = mat - adj
+    defect = float(np.abs(herm).max())  # hermiticity_defect, sharing the adjoint
+    np.add(mat, adj, out=herm)
+    # a division, not *= 0.5: complex halving by multiplication flips the sign of some zeros
+    herm /= 2.0
+    max_diag = float(np.abs(mat.diagonal() - 1.0).max())
     is_cp = defect <= abs(CP_EIG_TOL) and _factorises(herm, abs(CP_EIG_TOL))
     return CPTPReport(is_cp=is_cp, is_tp=max_diag <= TP_DIAG_TOL,
                       max_diag_deviation=max_diag, hermitian_part=herm)
 
 
 def _factorises(herm: np.ndarray, shift: float) -> bool:
-    """Whether herm + shift I is positive definite, by attempting its Cholesky factor."""
-    shifted = herm.copy()
-    shifted.flat[::herm.shape[0] + 1] += shift
+    """Whether herm + shift I is positive definite, by attempting its Cholesky factor.
+
+    The shift goes onto herm's own diagonal, which is restored bit for bit
+    afterwards: numpy's cholesky copies its operand anyway, so a shifted copy
+    would be a second one.
+    """
+    diagonal = herm.diagonal().copy()
+    step = herm.shape[0] + 1
+    herm.flat[::step] += shift
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(herm)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        herm.flat[::step] = diagonal
     return True
 
 
@@ -188,6 +207,8 @@ def apply_schur(m: SchurMultiplier, rho) -> np.ndarray:
 
     A multiplier failing the CPTP check raises a CPTPWarning but the result
     is still returned, so deliberately broken channels remain inspectable.
+    Neither rho nor m is written: the rotated state U^dag rho U is a fresh
+    array, and its entrywise product with M is written back into it.
     """
     rho = require_square(rho)
     if rho.shape != m.multiplier.shape:
@@ -197,12 +218,22 @@ def apply_schur(m: SchurMultiplier, rho) -> np.ndarray:
         warnings.warn(
             f"multiplier fails CPTP check (cp={report.is_cp}, tp={report.is_tp}); "
             "applying anyway", CPTPWarning, stacklevel=2)
-    if (m.multiplier == 1.0).all():
-        # identity channel: skip the basis rotations so the state is untouched
+    # identity channel: skip the basis rotations so the state is untouched. One
+    # corner entry, at the widest gap of an ascending spectrum, is read first, so
+    # that other twirls skip the d x d comparison
+    if m.multiplier[-1, 0] == 1.0 and (m.multiplier == 1.0).all():
         return rho.copy()
     u = m.eigenbasis
     u_adj = u.conj().T
-    return u @ (m.multiplier * (u_adj @ rho @ u)) @ u_adj
+    rotated = u_adj @ rho @ u
+    # complex products under FMA are not symmetric in their operands, so the order
+    # is the one numpy took for M * rotated written inline: M first, except that
+    # from _ELIDED_BYTES on numpy's temporary elision evaluated it as rotated *= M
+    if rotated.nbytes < _ELIDED_BYTES:
+        np.multiply(m.multiplier, rotated, out=rotated)
+    else:
+        rotated *= m.multiplier
+    return u @ rotated @ u_adj
 
 
 # ---------------------------------------------------------------------------

@@ -206,16 +206,22 @@ def levy_psi(triplet: LevyTriplet, omega):
     psi(omega) = -(sigma2/2) omega^2 - i gamma omega
                  + sum_j w_j (exp(-i omega s_j) - 1 [+ i omega s_j for
                    compensated small jumps]),
-    as complex128 values of omega's shape, () for a scalar omega.
+    as a new complex128 array of omega's shape, () for a scalar omega. Each
+    jump's term is built in one reused buffer and added into psi in place.
     """
     w = np.asarray(omega, dtype=np.float64)
-    psi = -0.5 * triplet.sigma2 * w ** 2 - 1j * triplet.gamma * w
-    psi = psi.astype(np.complex128)
+    # complex already (the drift term is), so asarray copies nothing for an array omega
+    psi = np.asarray(-0.5 * triplet.sigma2 * w ** 2 - 1j * triplet.gamma * w)
+    term = np.empty(w.shape, dtype=np.complex128)
     for s, weight in triplet.atoms:
-        term = np.exp(-1j * w * s) - 1.0
+        np.multiply(-1j, w, out=term)
+        term *= s
+        np.exp(term, out=term)
+        term -= 1.0
         if triplet.compensated and abs(s) <= 1.0:
-            term = term + 1j * w * s
-        psi = psi + weight * term
+            term += 1j * w * s
+        np.multiply(weight, term, out=term)
+        psi += term
     return psi
 
 
@@ -235,28 +241,46 @@ def scale_triplet(triplet: LevyTriplet, t: float) -> LevyTriplet:
 
 @singledispatch
 def char_minus(dist, omega):
-    """E[exp(-i omega s)] for s ~ dist: complex128 values of omega's shape, () for a scalar."""
+    """E[exp(-i omega s)] for s ~ dist: a new complex128 array of omega's shape, () for a scalar.
+
+    omega is only read. Each rule works in arrays it allocates itself,
+    writing each step into its own operand where the bytes stay those of
+    the out-of-place expression, with every product's operands in the
+    expression's order.
+    """
     raise TypeError(f"no characteristic function for {type(dist).__name__}")
 
 
 @char_minus.register
 def _(dist: Gaussian, omega):
+    # exp(-v/2 w^2): real arithmetic in one buffer, then one complex copy
     w = np.asarray(omega, dtype=np.float64)
-    return np.exp(-0.5 * dist.variance * w ** 2).astype(np.complex128)
+    x = np.square(w, out=np.empty(w.shape))
+    x *= -0.5 * dist.variance
+    return np.exp(x, out=x).astype(np.complex128)
 
 
 @char_minus.register
 def _(dist: _Atomic, omega):
+    # sum_n p_n exp(-i s_n w), each term built in one reused buffer
     w = np.asarray(omega, dtype=np.float64)
     acc = np.zeros(w.shape, dtype=np.complex128)
+    term = np.empty(w.shape, dtype=np.complex128)
     for s, p in dist.atoms:
-        acc += p * np.exp(-1j * s * w)
+        np.multiply(-1j * s, w, out=term)
+        np.exp(term, out=term)
+        np.multiply(p, term, out=term)
+        acc += term
     return acc
 
 
 @char_minus.register
 def _(dist: CompoundPoisson, omega):
-    return np.exp(dist.rate * (char_minus(dist.base, omega) - 1.0))
+    # exp(rate (phi - 1)), in the base law's own new array
+    out = char_minus(dist.base, omega)
+    np.subtract(out, 1.0, out=out)
+    np.multiply(dist.rate, out, out=out)
+    return np.exp(out, out=out)
 
 
 @char_minus.register
@@ -281,8 +305,12 @@ def _(dist: TruncatedGaussian, omega):
     # freqs ascends from 0, so the frequencies on the rule are a prefix
     near = np.count_nonzero(freqs * width < TRUNCATED_CHAR_MAX_PHASE)
     value = np.zeros(freqs.size)
+    term = np.empty(near)
     for time, root in zip(*dist._half_rule):
-        value[:near] += root * root * np.cos(freqs[:near] * time)
+        np.multiply(freqs[:near], time, out=term)
+        np.cos(term, out=term)
+        term *= root * root
+        value[:near] += term
     value[:near] /= value[0]
     if near < freqs.size:
         # exp(-b^2) Re erf(a + ib) / erf(a), a = W / sqrt(2v), b = omega sqrt(v/2)
@@ -301,11 +329,12 @@ def _(dist: TruncatedGaussian, omega):
 
 @char_minus.register
 def _(dist: LevyTriplet, omega):
-    return np.exp(levy_psi(dist, omega))
+    psi = levy_psi(dist, omega)
+    return np.exp(psi, out=psi)
 
 
 def _at_gaps(dist, lam: np.ndarray) -> np.ndarray:
-    return char_minus(dist, lam[:, None] - lam[None, :])
+    return char_minus(dist, np.subtract.outer(lam, lam))
 
 
 @singledispatch
@@ -341,11 +370,13 @@ def _phase_gram(lam: np.ndarray, lo, spread, times: np.ndarray, roots: np.ndarra
     np.sin(phases, out=b[:, 1])
     b *= roots
     b = b.reshape(lam.size, 2 * m)
-    out = (b @ b.T).astype(np.complex128)
+    gram = b @ b.T
+    out = gram.astype(np.complex128)
     if not symmetric:
-        # np.dot, not @: numpy's matmul skips BLAS for a one-atom inner dimension
-        x = np.dot(b[:, :m], b[:, m:].T)
-        np.subtract(x, x.T, out=out.imag)
+        # X overwrites B B^T, already copied into out. np.dot, not @: numpy's
+        # matmul skips BLAS for a one-atom inner dimension
+        np.dot(b[:, :m], b[:, m:].T, out=gram)
+        np.subtract(gram, gram.T, out=out.imag)
     out[lam[:, None] == lam] = 1.0
     return out
 

@@ -38,15 +38,19 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
     # rotate each column so its largest-magnitude entry is real positive;
-    # ties inside degenerate clusters then resolve the same way on every run.
-    # Each phase takes the scalar abs of its pivot: numpy's abs over the whole
-    # pivot array can differ from it in the last bit
+    # ties inside degenerate clusters then resolve the same way on every run
+    # (argmax takes the first of tied rows). The pivots are gathered with one
+    # index, but each magnitude is the scalar abs of a pivot taken from
+    # .tolist(): numpy's abs over the whole pivot array can differ from it in
+    # the last bit. The phase is conj(pivot) / magnitude, and the columns are
+    # scaled as vectors * phases, vectors the first operand: complex products
+    # under FMA are not symmetric in their operands, so this order keeps the
+    # bytes of a column-by-column loop
+    cols = np.arange(vectors.shape[1])
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), cols]
+    mags = np.array(list(map(abs, pivots.tolist())), dtype=np.float64)
     phases = np.ones(vectors.shape[1], dtype=np.complex128)
-    for col, row in enumerate(np.argmax(np.abs(vectors), axis=0)):
-        pivot = vectors[row, col]
-        mag = abs(pivot)
-        if mag > 0.0:
-            phases[col] = pivot.conjugate() / mag
+    np.divide(pivots.conj(), mags, out=phases, where=mags > 0.0)
     return vectors * phases
 
 

@@ -14,9 +14,9 @@ Reproducibility: shots form fixed chunks of CHUNK_SHOTS. A Gaussian chunk
 draws all its times from one counter-based stream derived from
 (seed, chunk_index); a compound shot draws its kick count, then its kicks
 if the count is not 0, from a stream derived from (seed, shot_index). A
-compound run moves one Philox generator from shot stream to shot stream by
-setting its full state, so each shot still reads exactly the stream
-(seed, shot_index), with the same bytes as a freshly built one. The
+run, Gaussian or compound, moves one Philox generator from stream to
+stream by setting its full state, so each chunk or shot still reads
+exactly its own stream, with the same bytes as a freshly built one. The
 base law's sampler is looked up once per run, not once per shot. Compound
 shots are drawn in batches of at most about CHUNK_SHOTS kicks; a batch
 groups its shots by kick count n and sums each group as one [m, n] array
@@ -239,14 +239,19 @@ def estimate_channel(h, plan: ShotPlan) -> tuple[SchurMultiplier, CostLedger]:
     """Estimate the Gaussian twirl channel from plan.shots sampled unitaries.
 
     Chunk c of CHUNK_SHOTS shots (the last one holds the remainder) draws
-    its times in one call from the stream derived_rng(plan.seed, c).
+    its times in one call from the stream derived_rng(plan.seed, c). One
+    generator serves the run: each chunk moves it to the chunk's stream
+    (derived_rng's reuse), which draws the same bytes as a fresh stream.
     Returns the empirical multiplier (an unbiased estimate of the truncated
     twirl) and the cost ledger of |s| per shot.
     """
-    times = np.concatenate([
-        sample_truncated_normal(plan.t, plan.cutoff, derived_rng(plan.seed, c),
-                                size=min(CHUNK_SHOTS, plan.shots - start))
-        for c, start in enumerate(range(0, plan.shots, CHUNK_SHOTS))])
+    chunks = []
+    rng = None  # built for chunk 0, then moved to each next chunk's stream
+    for c, start in enumerate(range(0, plan.shots, CHUNK_SHOTS)):
+        rng = derived_rng(plan.seed, c, rng)
+        chunks.append(sample_truncated_normal(plan.t, plan.cutoff, rng,
+                                              size=min(CHUNK_SHOTS, plan.shots - start)))
+    times = np.concatenate(chunks)
     ledger = CostLedger(per_shot_times=np.abs(times), worst_case=plan.cutoff)
     return empirical_channel(h, times), ledger
 

@@ -13,13 +13,17 @@ takes one cosine per quadrature node as one matrix-vector product, the
 reference for char_minus's truncated-Gaussian half rule, summed one node pair
 at a time, and cptp_check_complex checks a multiplier in complex arithmetic
 with its verdict read from the spectrum, the reference for cptp_check's real
-path and for its factorisation verdict.
+path and for its factorisation verdict; cptp_check_by_copies makes a new
+array for every step, the reference for cptp_check's in-place Hermitian part
+and shifted diagonal.
 dissipator_matrix_by_kron, random_hermitian_by_norm and canonical_phases_by_column
 are the dissipator's two kron calls, random_hermitian's norm(h, 2) and the
 eigenvector phases applied one column at a time, the references for their
-broadcast and direct-svd forms. apply_choi_by_einsum contracts rho with the
-Choi blocks in one four-index einsum, the reference for apply_choi's
-row-times-block products. multiplier_by_gaps evaluates a law's
+broadcast and direct-svd forms; canonical_phases_by_pivot_loop takes the
+phases in a Python loop over the columns, the reference for the gathered
+pivots. apply_choi_by_einsum contracts rho with the Choi blocks in one
+four-index einsum, the reference for apply_choi's row-times-block products.
+multiplier_by_gaps evaluates a law's
 characteristic function on the d x d gap matrix, the reference for the
 Gram-product multipliers of the truncated Gaussian, Dirac and mixture laws.
 """
@@ -170,6 +174,31 @@ def cptp_check_complex(mat) -> CPTPReport:
                       max_diag_deviation=max_diag, hermitian_part=herm)
 
 
+def cptp_check_by_copies(mat) -> CPTPReport:
+    """cptp_check with a new array for every step: the Hermitian part as
+    (M + M^dag) / 2 out of place, and the shift on a copy of it."""
+    mat = require_square(mat)
+    if not np.isfinite(mat).all():
+        return CPTPReport(is_cp=False, is_tp=False, max_diag_deviation=math.nan)
+    if not mat.imag.any():
+        mat = mat.real
+    adj = mat.conj().T
+    defect = float(np.abs(mat - adj).max())
+    herm = (mat + adj) / 2.0
+    max_diag = float(np.abs(np.diag(mat) - 1.0).max())
+    is_cp = False
+    if defect <= abs(CP_EIG_TOL):
+        shifted = herm.copy()
+        shifted.flat[::herm.shape[0] + 1] += abs(CP_EIG_TOL)
+        try:
+            np.linalg.cholesky(shifted)
+            is_cp = True
+        except np.linalg.LinAlgError:
+            pass
+    return CPTPReport(is_cp=is_cp, is_tp=max_diag <= TP_DIAG_TOL,
+                      max_diag_deviation=max_diag, hermitian_part=herm)
+
+
 def dissipator_matrix_by_kron(h) -> np.ndarray:
     """K = H (x) I - I (x) H^T through two np.kron calls."""
     op = as_operator(h)
@@ -195,6 +224,21 @@ def canonical_phases_by_column(vectors: np.ndarray) -> np.ndarray:
         if mag > 0.0:
             out[:, col] *= pivot.conjugate() / mag
     return out
+
+
+def canonical_phases_by_pivot_loop(vectors: np.ndarray) -> np.ndarray:
+    """Each column's phase from its pivot, one column at a time, then one product.
+
+    A pivot is the column's first largest-magnitude entry; its phase is its
+    conjugate over numpy's scalar abs of it, and a zero column keeps phase 1.
+    """
+    phases = np.ones(vectors.shape[1], dtype=np.complex128)
+    for col, row in enumerate(np.argmax(np.abs(vectors), axis=0)):
+        pivot = vectors[row, col]
+        mag = abs(pivot)
+        if mag > 0.0:
+            phases[col] = pivot.conjugate() / mag
+    return vectors * phases
 
 
 def multiplier_by_gaps(dist, eigenvalues) -> np.ndarray:

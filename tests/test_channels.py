@@ -47,6 +47,7 @@ from twirlsim.verify import _random_distributions
 from oracles import (
     apply_choi_by_einsum,
     apply_superoperator,
+    cptp_check_by_copies,
     cptp_check_complex,
     partial_trace_output,
 )
@@ -91,6 +92,22 @@ def test_apply_schur_all_ones_is_exact_identity():
     for _ in range(50):
         rho = random_density_matrix(2, rng)
         assert np.array_equal(apply_schur(m, rho), rho)
+
+
+@pytest.mark.parametrize("d", [8, 127, 128, 150])
+def test_apply_schur_multiplies_in_the_inline_expressions_order(d):
+    # U (M * (U^dag rho U)) U^dag written inline: numpy takes M * X below 256 KiB,
+    # and from there on its temporary elision takes X *= M. Complex products under
+    # FMA depend on the order, so apply_schur keeps it; d=128 is the first 256 KiB
+    g = np.random.default_rng(d)
+    op = HermitianOperator(random_hermitian(d, g))
+    m = multiplier(FiniteMixture(atoms=((0.8, 0.5), (-0.4, 0.5))), op.eigenvalues)
+    rho = random_density_matrix(d, g)
+    u = op.eigenvectors
+    x = u.conj().T @ rho @ u
+    product = np.multiply(x, m) if d >= 128 else np.multiply(m, x)
+    want = u @ product @ u.conj().T
+    assert apply_schur(SchurMultiplier(u, m), rho).tobytes() == want.tobytes()
 
 
 def test_apply_schur_warns_on_broken_multiplier_but_returns():
@@ -199,6 +216,68 @@ def test_reports_compare_their_min_eigenvalue():
                              hermitian_part=np.eye(2))
     assert math.isnan(CPTPReport(is_cp=False, is_tp=False,
                                  max_diag_deviation=math.nan).min_eigenvalue)
+
+
+def _borderline_multiplier(d: int, g: np.random.Generator, complex_: bool,
+                           offset: float) -> np.ndarray:
+    """A Hermitian matrix whose smallest eigenvalue is CP_EIG_TOL + offset, to rounding."""
+    a = g.normal(size=(d, d))
+    if complex_:
+        a = a + 1j * g.normal(size=(d, d))
+    q, _ = np.linalg.qr(a)
+    lam = np.linspace(0.1, 2.0, d)
+    lam[0] = CP_EIG_TOL + offset
+    m = (q * lam) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def _in_place_check_cases():
+    g = np.random.default_rng(31)
+    for d in (1, 2, 8, 64):
+        lam = np.sort(g.normal(size=d))
+        gaps = lam[:, None] - lam[None, :]
+        yield f"real-d{d}", char_minus(Gaussian(variance=0.7), gaps)
+        yield f"real-float-d{d}", char_minus(Gaussian(variance=0.7), gaps).real
+        yield f"complex-d{d}", char_minus(FiniteMixture(atoms=((0.8, 0.5), (-0.4, 0.5))), gaps)
+        a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+        yield f"non-hermitian-d{d}", np.eye(d) + 0.1 * a
+        for complex_ in (False, True):
+            for offset in (-1e-12, -3e-13, 0.0, 3e-13, 1e-12):
+                yield (f"borderline-d{d}-{complex_}-{offset}",
+                       _borderline_multiplier(d, g, complex_, offset))
+    # signed zeros, whose signs the halving must keep: multiplying by 0.5 would flip them
+    yield "signed-zeros", np.array([[1.0, complex(-0.0, 0.5)], [complex(-0.0, -0.5), 1.0]])
+    yield "signed-zeros-imag", np.array([[1.0, complex(0.5, -0.0)], [complex(0.5, -0.0), 1.0]])
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        yield f"non-finite-{bad}", m
+    # finite, but the Hermitian part overflows
+    yield "overflowing", np.full((3, 3), 1e308) - 1e308j
+
+
+def _report_read(report: CPTPReport):
+    """Every measure of a report, min_eigenvalue as its value or its exception type."""
+    try:
+        min_eig = report.min_eigenvalue
+    except np.linalg.LinAlgError as exc:
+        min_eig = type(exc)
+    herm = report.hermitian_part
+    return (report.is_cp, report.is_tp, np.float64(report.max_diag_deviation).tobytes(),
+            None if herm is None else (herm.dtype, herm.shape, herm.tobytes()),
+            np.float64(min_eig).tobytes() if isinstance(min_eig, float) else min_eig)
+
+
+def test_in_place_check_matches_the_copying_check():
+    for label, m in _in_place_check_cases():
+        reads = []
+        for check in (cptp_check, cptp_check_by_copies):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                read = _report_read(check(m))
+            runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+            reads.append((read, runtime))
+        assert reads[0] == reads[1], label
 
 
 def test_real_indefinite_multiplier_fails_cp_and_warns():

@@ -16,6 +16,7 @@ from twirlsim.linalg import _canonical_phases
 
 from oracles import (
     canonical_phases_by_column,
+    canonical_phases_by_pivot_loop,
     dissipator_matrix_by_kron,
     pauli_matrix_by_kron,
     random_hermitian_by_norm,
@@ -180,6 +181,40 @@ def test_canonical_phases_match_the_column_loop_byte_for_byte():
     for label, m in _byte_identity_inputs(BYTE_DIMS):
         vectors = np.linalg.eigh(m)[1]
         assert _same_bytes(_canonical_phases(vectors), canonical_phases_by_column(vectors)), label
+
+
+def _tied_pivot_columns(vectors: np.ndarray, g: np.random.Generator) -> np.ndarray:
+    """vectors with one column's largest entry copied, times a unit phase, to a
+    neighbouring row, so that the column's two largest magnitudes tie exactly,
+    and with the last column zeroed."""
+    out = vectors.copy()
+    col = int(g.integers(out.shape[1]))
+    top = int(np.argmax(np.abs(out[:, col])))
+    if out.shape[0] > 1:
+        other = top + 1 if top + 1 < out.shape[0] else top - 1
+        out[other, col] = out[top, col] * (1j, -1.0, -1j)[col % 3]
+        assert abs(out[top, col]) == abs(out[other, col])
+    out[:, -1] = 0.0
+    return out
+
+
+def test_gathered_pivots_match_the_pivot_loop():
+    # numpy's array abs can differ from the scalar abs in the last bit, which the
+    # gathered form avoids; a tie picks the first row in both
+    g = np.random.default_rng(30)
+    for d in range(1, 65):
+        a = g.normal(size=(d, d))
+        b = a + 1j * g.normal(size=(d, d))
+        q, _ = np.linalg.qr(b)
+        levels = g.choice([-1.0, 0.5, 2.0], size=d)
+        # complex dtype throughout, as eig_hermitian's eigenvectors always are
+        for h in ((b + b.conj().T) / 2.0, ((a + a.T) / 2.0).astype(complex),
+                  (q * levels) @ q.conj().T):
+            vectors = np.linalg.eigh(h)[1]
+            for v in (vectors, _tied_pivot_columns(vectors, g)):
+                want = canonical_phases_by_pivot_loop(v)
+                assert np.array_equal(_canonical_phases(v), want), d
+                assert _same_bytes(_canonical_phases(v), want), d
 
 
 def test_random_hermitian_matches_norm_byte_for_byte():

@@ -362,14 +362,21 @@ def test_compound_engine_matches_per_shot_choi(d, shots):
 @pytest.mark.parametrize("shots", [1, 4096, 4097, 9000])
 def test_gaussian_estimate_draws_one_stream_per_chunk(monkeypatch, shots):
     indices = []
+    generators = []
 
-    def counting(seed, index):
+    def counting(seed, index, reuse=None):
         indices.append(index)
-        return derived_rng(seed, index)
+        generators.append(reuse)
+        return derived_rng(seed, index, reuse)
 
     monkeypatch.setattr(sampling, "derived_rng", counting)
-    estimate_channel(Z, ShotPlan.with_derived_cutoff(1.0, 0.01, shots, seed=17))
+    emp, ledger = estimate_channel(Z, ShotPlan.with_derived_cutoff(1.0, 0.01, shots, seed=17))
     assert indices == list(range(math.ceil(shots / 4096)))
+    # one generator is built, for chunk 0, and moved to each later chunk's stream
+    assert generators[0] is None
+    assert all(g is generators[1] for g in generators[1:]) and None not in generators[1:]
+    times = chunk_times(ShotPlan.with_derived_cutoff(1.0, 0.01, shots, seed=17))
+    assert np.array_equal(ledger.per_shot_times, np.abs(times))
 
 
 def test_gaussian_chunks_draw_from_distinct_streams():
