@@ -92,7 +92,9 @@ def cutoff(t: float, epsilon: float) -> float:
     """Truncation window S = sqrt(2 t ln(4/epsilon)).
 
     Accepts any epsilon in (0, 4), the range where S is real and positive;
-    the sampler itself (ShotPlan) restricts epsilon to (0, 1).
+    the sampler itself (ShotPlan) restricts epsilon to (0, 1). 4/epsilon
+    overflows for epsilon at or below the smallest normal double, and only
+    there is ln(4/epsilon) taken as ln 4 - ln epsilon, so S stays finite.
     """
     t = float(t)
     epsilon = float(epsilon)
@@ -100,7 +102,9 @@ def cutoff(t: float, epsilon: float) -> float:
         raise ValueError(f"t must be > 0, got {t}")
     if not 0.0 < epsilon < _MAX_EPSILON:
         raise ValueError(f"epsilon must be in (0, {_MAX_EPSILON}), got {epsilon}")
-    return math.sqrt(2.0 * t * math.log(4.0 / epsilon))
+    ratio = 4.0 / epsilon
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(4.0) - math.log(epsilon)
+    return math.sqrt(2.0 * t * log_ratio)
 
 
 def _window(t: float, s_cut: float) -> tuple[float, float]:

@@ -358,7 +358,7 @@ def test_simulate_sampled_gaussian_metrics(tmp_path):
     assert abs(np.trace(state) - 1.0) < 1e-10
 
 
-def test_simulate_sampled_deterministic_across_runs_and_threads(tmp_path):
+def test_simulate_sampled_deterministic_across_runs(tmp_path):
     cfg = base_config(sampler={"shots": 2000, "seed": 42})
     _, state1, metrics1 = run_simulate(tmp_path, cfg)
     state_bytes = state1.read_bytes()
@@ -691,6 +691,19 @@ def test_sampled_window_past_squared_overflow_gives_a_finite_bound(tmp_path, cap
         assert np.isfinite(read_matrix(state_path)).all()
 
 
+def test_subnormal_epsilon_gives_a_finite_window(tmp_path, capsys):
+    # 4/epsilon overflows for a subnormal epsilon; S = sqrt(2t (ln 4 - ln epsilon)) does not
+    code, state_path, metrics_path = run_simulate(
+        tmp_path, base_config(), ["--epsilon", "1e-310", "--shots", "10", "--seed", "1"])
+    assert code == 0
+    header, row = read_csv(metrics_path)
+    assert float(dict(zip(header, row))["S"]) == cutoff(1.0, 1e-310)
+    assert all(math.isfinite(float(v)) for v in row[1:])
+    assert np.isfinite(read_matrix(state_path)).all()
+    assert main(["bench", "--ts", "1", "--epsilons", "5e-324", "--draws", "10"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("t", [1.0, 3.0])
 def test_sampled_compound_overflow_is_named_before_apply(tmp_path, capsys, recwarn, t):
     # the exact multiplier is finite at gaps of 2e-300, but two 1e308 kicks sum to inf
@@ -990,6 +1003,8 @@ BAD_FLAGS = [
     (["verify", "--dims", "2", "--trials", str(MAX_VERIFY_TRIALS + 1)], "--trials"),
     (["verify", "--dims", "32", "--trials", "19"], "--trials"),
     (["verify", "--dims", ",".join(["32"] * 19), "--trials", "1"], "--dims"),
+    # S overflows at this t whatever epsilon is
+    (["bench", "--ts", "1e308", "--epsilons", "0.5", "--draws", "10"], "--ts"),
 ]
 
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from twirlsim import cli, config
+from twirlsim.config import MAX_QUBITS
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 
@@ -80,6 +81,8 @@ def test_cases_cover_every_input_form():
              state if isinstance(state, str) else type(state).__name__
              for state in (cfg["initial_state"] for cfg in configs)}
     assert forms >= {"plus_all", "maximally_mixed", "int", "basis", "file"}
+    # the largest allowed size, so that a move of the d = 1024 bytes shows in a diff
+    assert any(cfg["system"].get("qubits") == MAX_QUBITS for cfg in configs)
 
 
 def test_digest_lines_are_reproducible():

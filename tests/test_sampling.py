@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -70,6 +71,17 @@ def test_cutoff_values():
     # ln(4 / (4/e)) = 1, so S = sqrt(2)
     assert abs(cutoff(1.0, 4.0 / math.e) - math.sqrt(2.0)) < 1e-15
     assert abs(cutoff(9.0, 0.01) - 3.0 * cutoff(1.0, 0.01)) < 1e-12
+
+
+def test_cutoff_is_finite_for_a_subnormal_epsilon():
+    # 4/epsilon overflows at and below the smallest normal double, ln 4 - ln epsilon does not
+    for eps in (5e-324, 1e-310, sys.float_info.min):
+        s_cut = cutoff(1.0, eps)
+        assert math.isfinite(s_cut)
+        assert s_cut == math.sqrt(2.0 * (math.log(4.0) - math.log(eps)))
+    # one step above, 4/epsilon is finite and S keeps its expression
+    eps = math.nextafter(sys.float_info.min, 1.0)
+    assert cutoff(1.0, eps) == math.sqrt(2.0 * math.log(4.0 / eps))
 
 
 def test_cutoff_domain():
@@ -266,7 +278,7 @@ def test_cost_ledger_stores_costs_and_bound_and_derives_the_rest():
     assert ledger.total_time == math.inf
 
 
-def test_estimate_channel_reproducible_and_thread_invariant():
+def test_estimate_channel_reproducible():
     plan = ShotPlan.with_derived_cutoff(1.0, 0.01, 9000, seed=77)
     emp1, led1 = estimate_channel(Z, plan)
     emp2, led2 = estimate_channel(Z, plan)

@@ -21,7 +21,8 @@ To show that a change keeps every output byte, run the tool on the parent
 and on the change and ``diff`` the two outputs: each differing line names a
 case whose output moved. The case list covers every distribution kind, exact
 and sampled, every subcommand, every form of the system, Hamiltonian and
-initial state, and the exit-2 cases of the input checks.
+initial state, and the exit-2 cases of the input checks. It reaches 10
+qubits, the largest allowed size, with one exact Gaussian case.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ PAULI_6 = ["0.9 ZIIIII", "-0.7 IZIZII", "0.55 XXIIII", "0.4 IIYYII", "-0.35 IIIX
 PAULI_7 = ["0.8 ZIIIIII", "-0.75 IZIIZII", "0.6 XXIIIII", "0.5 IIYYIII", "-0.45 IIIXZII",
            "0.4 IIIIZXI", "0.35 YIIIIYI", "-0.3 ZXYIIII", "0.25 IIZYXII", "0.2 XIIZIYI",
            "0.15 IIIIIZX", "-0.1 YIZIXIZ"]
+PAULI_10 = ["1.0 ZIIIIIIIII", "0.5 XXIIIIIIII", "0.3 IIIIIIIIYY"]
 
 BASES = {"dirac": {"kind": "dirac", "location": 1.25},
          "mixture": {"kind": "mixture", "atoms": [[0.8, 0.5], [-0.4, 0.5]]},
@@ -101,6 +103,8 @@ def cases() -> list[tuple[str, list[str], object]]:
         out.append((f"exact-q6-t4-{law}", simulate, _config(6, PAULI_6, 4.0, law)))
     for t, law in ((1.0, "truncated"), (4.0, "truncated"), (4.0, "truncated-cutoff")):
         out.append((f"exact-q7-t{t:g}-{law}", simulate, _config(7, PAULI_7, t, law)))
+    # d = 1024, where the Cholesky factorisation of the CPTP check rounds most
+    out.append(("exact-q10-gaussian", simulate, _config(10, PAULI_10)))
     # H = 1.0 ZI has two doubly degenerate eigenvalues: zero gaps off the diagonal
     for law in ("truncated", "dirac", "mixture"):
         out.append((f"exact-q2-degenerate-{law}", simulate, _config(2, ["1.0 ZI"], 1.0, law)))
@@ -111,6 +115,9 @@ def cases() -> list[tuple[str, list[str], object]]:
                             _config(law=law, sampler={"shots": shots, "seed": seed})))
     out.append(("sampled-q6-gaussian", simulate,
                 _config(6, PAULI_6, law="gaussian", sampler={"shots": 300, "seed": 4})))
+    # 4/epsilon overflows for a subnormal epsilon; the window S stays finite
+    out.append(("sampled-gaussian-epsilon-subnormal", simulate + ["--epsilon", "5e-324"],
+                _config(sampler={"shots": 10, "seed": 7})))
     for law in ("dirac", "mixture", "levy"):
         out.append((f"sampled-{law}-has-no-sampler", simulate,
                     _config(law=law, sampler={"shots": 10, "seed": 7})))
